@@ -724,6 +724,13 @@ def cmd_fleet_rollout(args: argparse.Namespace) -> int:
 
         os.environ[SECRET_ENV] = args.secret
     if args.worker:
+        from repro.distributed import ProtocolError, parse_address
+
+        try:
+            parse_address(args.worker)
+        except ProtocolError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
 
         def on_wave(wave):
             print("wave %s [%s]: members %s"

@@ -80,6 +80,16 @@ class ControlPlaneService:
         if not kernel_version:
             raise ControlPlaneError("kernel_version must be non-empty")
         self.store.channels.get(channel)  # raises UnknownChannelError
+        if worker:
+            from repro.distributed.protocol import (
+                ProtocolError,
+                parse_address,
+            )
+
+            try:
+                parse_address(worker)
+            except ProtocolError as exc:
+                raise ControlPlaneError(str(exc))
         try:
             member = self.store.get_member(member_id)
         except ControlPlaneError:

@@ -12,12 +12,13 @@ not with one machine's cores:
   challenge/response with a shared secret, anonymous DH without one),
   per-session key derivation, and the frame cipher that encrypts
   every post-handshake record;
-* :mod:`~repro.distributed.protocol` — framing and the wire
-  vocabulary, plus the synchronous :class:`MessageStream` adapter for
-  blocking callers (``fleet/remote``, the executor);
-* :mod:`~repro.distributed.aio` — the asyncio transport: one event
+* :mod:`~repro.distributed.protocol` — the wire vocabulary, its
+  errors, record batching and address parsing;
+* :mod:`~repro.distributed.aio` — the one transport: an asyncio event
   loop multiplexing thousands of peers, bounded per-peer send queues
-  for backpressure, batch-sealed records;
+  for backpressure, batch-sealed records, and :func:`open_session`,
+  the HELLO/READY opener every client session goes through
+  (coordinator, remote fleet rollouts, simulated fleet members);
 * :mod:`~repro.distributed.worker` — the ``repro worker`` serve loop:
   evaluates items in executor threads (heartbeats are answered while
   an item runs), streams each ``CveResult`` as it finishes, and can
@@ -27,12 +28,8 @@ not with one machine's cores:
   for the tails, heartbeats, bounded retry, reconnects with
   exponential backoff and jitter, and local rescue of anything the
   fleet cannot finish;
-* :mod:`~repro.distributed.executor` — a ``ProcessPoolExecutor``-shaped
-  adapter so group-based code (``engine._evaluate_parallel``) runs
-  against remote workers unchanged;
 * :mod:`~repro.distributed.fabric` — fleet-scale rollout dispatch:
-  update waves to 10k members on one event loop, with the threaded
-  v2-architecture baseline kept for the benchmark.
+  update waves to 10k members on one event loop.
 
 Entry points: ``evaluate_corpus(workers=[...])`` /
 ``repro evaluate --workers`` on the coordinator side and
@@ -50,23 +47,17 @@ from repro.distributed.aio import (
     AsyncChannel,
     accept_channel,
     connect_channel,
+    open_session,
 )
-
 from repro.distributed.coordinator import Coordinator, WorkItem
-from repro.distributed.executor import DistributedExecutor
 from repro.distributed.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
     SECRET_ENV,
     AuthError,
-    MessageStream,
     ProtocolError,
-    accept_stream,
-    connect_stream,
     default_secret,
     parse_address,
-    recv_message,
-    send_message,
 )
 from repro.distributed.worker import (
     LocalWorker,
@@ -78,22 +69,17 @@ __all__ = [
     "AsyncChannel",
     "AuthError",
     "Coordinator",
-    "DistributedExecutor",
     "LocalWorker",
     "MAX_FRAME",
-    "MessageStream",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SECRET_ENV",
     "WorkItem",
     "accept_channel",
-    "accept_stream",
     "connect_channel",
-    "connect_stream",
     "default_secret",
+    "open_session",
     "parse_address",
-    "recv_message",
-    "send_message",
     "serve",
     "spawn_local_workers",
 ]

@@ -17,20 +17,20 @@ loop through :class:`AsyncChannel`, which pairs a **reader task**
   :meth:`AsyncChannel.send_threadsafe`, so an evaluation thread
   streaming results feels the same backpressure the loop does.
 
-Frames and crypto are identical to the synchronous
-:class:`~repro.distributed.protocol.MessageStream` — the two transports
-are byte-compatible on the wire, and a sync peer can talk to an async
-peer freely.
+This is the fabric's only transport.  :func:`accept_channel` and
+:func:`connect_channel` run the v3 handshake; :func:`open_session`
+adds the session's HELLO/READY exchange on top, and is how every
+client — the evaluation coordinator, a remote fleet rollout, a
+simulated fleet member — opens a session.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-import struct
 from typing import Any, Dict, Optional
 
-from repro.distributed import wire
+from repro.distributed import protocol, wire
 from repro.distributed.crypto import (
     MAX_HANDSHAKE_FRAME,
     CipherPair,
@@ -40,17 +40,16 @@ from repro.distributed.crypto import (
     ServerHandshake,
 )
 from repro.distributed.protocol import (
+    _RECORD_HEADER,
+    _RECORD_SLACK,
     BATCH_FRAMES,
     MAX_FRAME,
-    _RECORD_SLACK,
     AuthError,
     ProtocolError,
     pack_batch,
     split_batch,
 )
 from repro.distributed.wire import WireError
-
-_RECORD_HEADER = struct.Struct("!I")
 
 #: default bound for both per-peer queues (records, not bytes)
 SEND_QUEUE_SIZE = 64
@@ -419,3 +418,37 @@ async def connect_channel(host: str, port: int,
                         "despite a configured secret")
     return AsyncChannel(reader, writer, ciphers,
                         max_frame=max_frame, send_queue=send_queue)
+
+
+async def open_session(host: str, port: int, secret: Optional[bytes],
+                       hello: Optional[Dict[str, Any]] = None,
+                       max_frame: int = MAX_FRAME,
+                       connect_timeout: float = 5.0,
+                       ready_timeout: Optional[float] = None,
+                       ) -> AsyncChannel:
+    """Connect, handshake, then open the session: HELLO, await READY.
+
+    ``hello`` adds fields to the HELLO frame (a coordinator's disk-cache
+    config, a fleet member's id).  ``ready_timeout`` bounds the wait
+    for the peer's answer (``None`` waits for it or for EOF).  A peer
+    that answers with anything but READY — a worker refusing our
+    protocol version, a dispatcher turning away a duplicate member —
+    raises :class:`ProtocolError` carrying the peer's reason.
+    """
+    channel = await connect_channel(host, port, secret,
+                                    max_frame=max_frame,
+                                    connect_timeout=connect_timeout)
+    try:
+        await channel.send(dict(hello or {}, type=protocol.HELLO,
+                                version=protocol.PROTOCOL_VERSION))
+        ready = await asyncio.wait_for(channel.recv(), ready_timeout)
+    except BaseException:
+        await channel.close()
+        raise
+    if ready is None or ready.get("type") != protocol.READY:
+        await channel.close()
+        raise ProtocolError(
+            "peer %s:%d rejected the session: %r"
+            % (host, port,
+               (ready or {}).get("error", "connection closed")))
+    return channel

@@ -397,28 +397,13 @@ class Coordinator:
             await self._wait_wake(min(remaining, 0.2))
 
     async def _connect(self, host: str, port: int) -> AsyncChannel:
-        channel = await aio.connect_channel(
-            host, port, protocol.default_secret(),
-            max_frame=self.max_frame,
-            connect_timeout=self.connect_timeout)
         from repro.compiler.cache import disk_cache_config
 
-        try:
-            await channel.send({
-                "type": protocol.HELLO,
-                "version": protocol.PROTOCOL_VERSION,
-                "disk_cache": disk_cache_config()})
-            ready = await channel.recv()
-        except (ConnectionError, OSError, ProtocolError):
-            await channel.close()
-            raise
-        if ready is None or ready.get("type") != protocol.READY:
-            await channel.close()
-            raise ProtocolError(
-                "worker %s:%d rejected the handshake: %r"
-                % (host, port,
-                   (ready or {}).get("error", "connection closed")))
-        return channel
+        return await aio.open_session(
+            host, port, protocol.default_secret(),
+            hello={"disk_cache": disk_cache_config()},
+            max_frame=self.max_frame,
+            connect_timeout=self.connect_timeout)
 
     async def _serve_worker(self, peer_id: int,
                             channel: AsyncChannel) -> None:

@@ -40,8 +40,9 @@ Frame protection (:class:`FrameCipher`, one per direction):
   and tag, so frames cannot be replayed, reordered, or reflected.
 
 The handshake itself is a pure state machine over byte blobs
-(:class:`ServerHandshake` / :class:`ClientHandshake`) so the blocking
-socket layer and the asyncio layer drive the identical logic.
+(:class:`ServerHandshake` / :class:`ClientHandshake`), kept apart from
+any socket so the transport (:mod:`.aio`) and tests that impersonate a
+peer drive the identical logic.
 """
 
 from __future__ import annotations

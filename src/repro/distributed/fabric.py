@@ -3,17 +3,10 @@
 The paper's endgame is fleet-wide rebootless updates; this module is
 the dispatch layer that pushes a prepared update (the serialized k86
 patch object, by CVE) to every *member* of a fleet and collects
-acknowledgements, wave by wave.  It exists in two interchangeable
-implementations so the scaling claim is measured, not asserted:
-
-* :class:`RolloutDispatcher` — the v3 fabric: an asyncio server
-  multiplexing every member session on **one event loop**, encrypted
-  v3 frames, bounded per-member send queues (a slow member parks its
-  wave task instead of ballooning dispatcher memory).
-* :class:`ThreadedRolloutDispatcher` — the v2 architecture kept as the
-  benchmark baseline: one OS thread per member over the blocking
-  :class:`~repro.distributed.protocol.MessageStream` adapter.  Same
-  wire bytes, same handshake — only the concurrency model differs.
+acknowledgements, wave by wave.  :class:`RolloutDispatcher` is an
+asyncio server multiplexing every member session on **one event
+loop**, encrypted v3 frames, bounded per-member send queues (a slow
+member parks its wave task instead of ballooning dispatcher memory).
 
 A *member* here is the simulator in :func:`run_members_async`: it
 handshakes, announces itself (``hello`` with a member id), then
@@ -29,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -45,10 +37,9 @@ ACK_CORRUPT = 1
 
 
 @dataclass
-class RolloutReport:
+class DispatchReport:
     """What one dispatch run did, with the numbers that matter."""
 
-    backend: str
     members: int
     waves: int
     join_wall_s: float
@@ -84,7 +75,7 @@ def verify_payload(payload: bytes) -> bool:
 
 
 # --------------------------------------------------------------------------
-# The asyncio dispatcher (the v3 fabric)
+# The dispatcher
 # --------------------------------------------------------------------------
 
 
@@ -120,12 +111,12 @@ class RolloutDispatcher:
         self._members: Dict[str, AsyncChannel] = {}
         self._joined: Optional[asyncio.Event] = None
 
-    def run(self, updates: Sequence[Tuple[str, bytes]]) -> RolloutReport:
+    def run(self, updates: Sequence[Tuple[str, bytes]]) -> DispatchReport:
         return asyncio.run(self.run_async(updates))
 
     async def run_async(self,
                         updates: Sequence[Tuple[str, bytes]],
-                        ) -> RolloutReport:
+                        ) -> DispatchReport:
         self._joined = asyncio.Event()
         server = await asyncio.start_server(
             self._handle, self.host, self.port, backlog=4096)
@@ -163,8 +154,8 @@ class RolloutDispatcher:
             dispatch_wall = time.perf_counter() - dispatch_start
             acks = sum(r for r in results)
             expected_acks = len(self._members) * len(updates)
-            return RolloutReport(
-                backend="asyncio", members=len(self._members),
+            return DispatchReport(
+                members=len(self._members),
                 waves=len(updates), join_wall_s=join_wall,
                 dispatch_wall_s=dispatch_wall, acks=acks,
                 failures=expected_acks - acks,
@@ -270,157 +261,6 @@ class RolloutDispatcher:
 
 
 # --------------------------------------------------------------------------
-# The threaded dispatcher (v2 architecture, kept as the baseline)
-# --------------------------------------------------------------------------
-
-
-class ThreadedRolloutDispatcher:
-    """Thread-per-member baseline with identical wire behavior.
-
-    This is the architecture the asyncio fabric replaced; it exists so
-    ``bench_fabric_scale`` can measure the speedup against the real
-    alternative instead of a straw man.  Do not use it beyond
-    benchmarks and the equivalence tests.
-    """
-
-    def __init__(self, expected: int, secret: Optional[bytes],
-                 host: str = "127.0.0.1", port: int = 0,
-                 join_timeout: float = 120.0,
-                 member_timeout: float = 60.0,
-                 max_frame: int = MAX_FRAME,
-                 on_listen=None):
-        self.expected = expected
-        self.secret = secret
-        self.host = host
-        self.port = port
-        self.join_timeout = join_timeout
-        self.member_timeout = member_timeout
-        self.max_frame = max_frame
-        self.on_listen = on_listen
-        self._lock = threading.Lock()
-        self._all_joined = threading.Event()
-        self._members: Dict[str, "protocol.MessageStream"] = {}
-
-    def run(self, updates: Sequence[Tuple[str, bytes]]) -> RolloutReport:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(1024)
-        bound_host, bound_port = listener.getsockname()[:2]
-        if self.on_listen is not None:
-            self.on_listen(bound_host, bound_port)
-        join_start = time.perf_counter()
-        acceptors: List[threading.Thread] = []
-        listener.settimeout(0.5)
-        deadline = time.monotonic() + self.join_timeout
-        try:
-            while not self._all_joined.is_set():
-                if time.monotonic() > deadline:
-                    raise ProtocolError(
-                        "only %d of %d members joined within %.0fs"
-                        % (len(self._members), self.expected,
-                           self.join_timeout))
-                try:
-                    sock, _addr = listener.accept()
-                except socket.timeout:
-                    continue
-                thread = threading.Thread(target=self._join_member,
-                                          args=(sock,), daemon=True)
-                thread.start()
-                acceptors.append(thread)
-            for thread in acceptors:
-                thread.join(timeout=10.0)
-        finally:
-            listener.close()
-        join_wall = time.perf_counter() - join_start
-
-        counts: Dict[str, int] = {}
-        dispatch_start = time.perf_counter()
-        pushers = []
-        for member_id, stream in self._members.items():
-            thread = threading.Thread(
-                target=self._push, args=(member_id, stream, updates,
-                                         counts), daemon=True)
-            thread.start()
-            pushers.append(thread)
-        for thread in pushers:
-            thread.join()
-        dispatch_wall = time.perf_counter() - dispatch_start
-
-        acks = sum(counts.values())
-        expected_acks = len(self._members) * len(updates)
-        report = RolloutReport(
-            backend="threaded", members=len(self._members),
-            waves=len(updates), join_wall_s=join_wall,
-            dispatch_wall_s=dispatch_wall, acks=acks,
-            failures=expected_acks - acks,
-            encrypted=all(s.encrypted for s in self._members.values()))
-        for stream in self._members.values():
-            try:
-                stream.send({"type": protocol.SHUTDOWN})
-            except (ConnectionError, ProtocolError, OSError):
-                pass
-            stream.close()
-        self._members.clear()
-        return report
-
-    def _join_member(self, sock: socket.socket) -> None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            stream = protocol.accept_stream(sock, self.secret,
-                                            max_frame=self.max_frame)
-            hello = stream.recv()
-        except (ProtocolError, ConnectionError, OSError):
-            sock.close()
-            return
-        if hello is None or hello.get("type") != protocol.HELLO:
-            sock.close()
-            return
-        member_id = str(hello.get("member_id", ""))
-        with self._lock:
-            if not member_id or member_id in self._members \
-                    or len(self._members) >= self.expected:
-                sock.close()
-                return
-            self._members[member_id] = stream
-            complete = len(self._members) >= self.expected
-        try:
-            stream.send({"type": protocol.READY,
-                         "version": protocol.PROTOCOL_VERSION})
-        except (ConnectionError, ProtocolError, OSError):
-            with self._lock:
-                self._members.pop(member_id, None)
-            sock.close()
-            return
-        if complete:
-            self._all_joined.set()
-
-    def _push(self, member_id: str, stream: "protocol.MessageStream",
-              updates: Sequence[Tuple[str, bytes]],
-              counts: Dict[str, int]) -> None:
-        acks = 0
-        stream.sock.settimeout(self.member_timeout)
-        try:
-            for seq, (cve_id, payload) in enumerate(updates, start=1):
-                stream.send({"type": protocol.UPDATE, "seq": seq,
-                             "cve_id": cve_id, "payload": payload})
-                while True:
-                    ack = stream.recv()
-                    if ack is None:
-                        raise ConnectionError("member closed mid-wave")
-                    if ack.get("type") == protocol.ACK \
-                            and ack.get("seq") == seq:
-                        break
-                if ack.get("status") == ACK_OK:
-                    acks += 1
-        except (ConnectionError, ProtocolError, OSError,
-                socket.timeout):
-            pass
-        with self._lock:
-            counts[member_id] = acks
-
-
-# --------------------------------------------------------------------------
 # The member simulator
 # --------------------------------------------------------------------------
 
@@ -438,9 +278,12 @@ async def _run_member(host: str, port: int, member_id: str,
     attempt = 0
     while True:
         try:
-            channel = await aio.connect_channel(
-                host, port, secret, connect_timeout=10.0)
+            channel = await aio.open_session(
+                host, port, secret, hello={"member_id": member_id},
+                connect_timeout=10.0, ready_timeout=120.0)
             break
+        except ProtocolError:
+            return 0  # turned away: a duplicate id or a full fleet
         except (ConnectionError, OSError, asyncio.TimeoutError):
             attempt += 1
             if time.monotonic() > deadline:
@@ -475,12 +318,6 @@ async def _run_member(host: str, port: int, member_id: str,
             done.set_result(None)
 
     try:
-        await channel.send({"type": protocol.HELLO,
-                            "version": protocol.PROTOCOL_VERSION,
-                            "member_id": member_id})
-        ready = await asyncio.wait_for(channel.recv(), timeout=120.0)
-        if ready is None or ready.get("type") != protocol.READY:
-            return 0
         await channel.install_hook(on_messages, on_end)
         await done
         return applied[0]

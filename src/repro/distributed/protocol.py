@@ -1,12 +1,8 @@
-"""Protocol v3 session layer: encrypted, length-prefixed binary frames.
+"""Protocol v3 vocabulary: frame types, errors, record batching.
 
-This module is the **synchronous compatibility surface** of the v3
-fabric.  The asyncio coordinator and worker (:mod:`.aio`,
-:mod:`.coordinator`, :mod:`.worker`) are the scale path; everything
-that still talks blocking sockets — :class:`~.executor.DistributedExecutor`,
-:mod:`repro.fleet.remote`, tests — drives the same wire through
-:class:`MessageStream` here, so both paths are byte-compatible on the
-wire.
+The transport lives in :mod:`.aio` (:class:`~.aio.AsyncChannel`, the
+handshake and the session opener); this module holds what both ends
+of a session agree on, whoever drives them.
 
 Wire stack, bottom up:
 
@@ -19,42 +15,28 @@ Wire stack, bottom up:
    version-mismatch message on both sides.
 2. **Records**: ``!I`` length prefix + ciphertext + 16-byte tag.  A
    record's plaintext is a *batch*: one or more ``!I``-length-prefixed
-   frames sealed together, so a pipelined burst pays one keystream and
-   one MAC instead of one per frame (the same trick TLS records play;
-   it is the difference between crypto dominating the fabric's hot
-   path and crypto disappearing into it).  Every record — all frame
+   frames sealed together (:func:`pack_batch`/:func:`split_batch`), so
+   a pipelined burst pays one keystream and one MAC instead of one per
+   frame (the same trick TLS records play).  Every record — all frame
    types, both directions — is encrypted and authenticated with the
    session keys; per-record sequence numbers prevent replay and
-   reordering.  ``max_frame`` bounds **every** frame (v2 only bounded
-   handshake frames): a peer claiming an oversized record or smuggling
-   an oversized frame inside one raises :class:`ProtocolError` and is
-   dropped before the payload is interpreted.
+   reordering.  ``max_frame`` bounds **every** frame: a peer claiming
+   an oversized record or smuggling an oversized frame inside one
+   raises :class:`ProtocolError` and is dropped before the payload is
+   interpreted.
 3. **Frames**: the compact binary encoding in
    :mod:`~repro.distributed.wire` — struct-packed headers, kpack
-   bodies, a closed class registry.  ``pickle`` is gone from the data
-   plane: no network byte ever reaches ``pickle.loads``.
-
-``send_message``/``recv_message`` remain as *plaintext* frame helpers
-for tests and diagnostics over trusted local socketpairs; real sessions
-always go through a handshaken :class:`MessageStream`.
+   bodies, a closed class registry.  No network byte ever reaches
+   ``pickle.loads``.
 """
 
 from __future__ import annotations
 
 import os
-import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.distributed import wire
-from repro.distributed.crypto import (
-    MAX_HANDSHAKE_FRAME,
-    CipherPair,
-    ClientHandshake,
-    FrameAuthError,
-    HandshakeError,
-    ServerHandshake,
-)
 from repro.distributed.wire import WireError
 from repro.errors import ReproError
 
@@ -142,12 +124,14 @@ def default_secret() -> Optional[bytes]:
 
 
 def parse_address(address: str, allow_zero: bool = False) -> tuple:
-    """``"host:port"`` -> ``(host, port)`` with validation.
+    """``"host:port"`` or ``"[v6addr]:port"`` -> ``(host, port)``.
 
     ``allow_zero`` admits port 0 — valid for a *listening* worker
     (bind an ephemeral port), never for a coordinator connecting out.
     """
     host, sep, port_text = address.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]  # bracketed IPv6 literal: "[::1]:80"
     if not sep or not host:
         raise ProtocolError("worker address %r is not host:port" % address)
     try:
@@ -158,235 +142,6 @@ def parse_address(address: str, allow_zero: bool = False) -> tuple:
     if not (0 if allow_zero else 1) <= port < 65536:
         raise ProtocolError("worker address %r port out of range" % address)
     return host, port
-
-
-# --------------------------------------------------------------------------
-# Raw (handshake) frames — cleartext, tightly bounded
-# --------------------------------------------------------------------------
-
-
-def send_raw(sock: socket.socket, payload: bytes) -> None:
-    """One length-prefixed frame of raw bytes (handshake only)."""
-    sock.sendall(_RECORD_HEADER.pack(len(payload)) + payload)
-
-
-def recv_raw(sock: socket.socket) -> bytes:
-    """Read one raw frame, bounded by ``MAX_HANDSHAKE_FRAME``.
-
-    Used exclusively before the handshake completes, so the bound is
-    tight: a peer that claims a large frame here is not speaking the
-    protocol and the connection is dropped.
-    """
-    header = _recv_exactly(sock, _RECORD_HEADER.size)
-    (length,) = _RECORD_HEADER.unpack(header)  # type: ignore[arg-type]
-    if length > MAX_HANDSHAKE_FRAME:
-        raise AuthError("pre-auth frame claims %d bytes (max %d)"
-                        % (length, MAX_HANDSHAKE_FRAME))
-    if length == 0:
-        return b""
-    return _recv_exactly(sock, length)  # type: ignore[return-value]
-
-
-def _recv_exactly(sock: socket.socket, count: int,
-                  allow_eof: bool = False) -> Optional[bytes]:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == count:
-                return None
-            raise ConnectionError("peer closed mid-frame (%d of %d bytes)"
-                                  % (count - remaining, count))
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-# --------------------------------------------------------------------------
-# The session channel
-# --------------------------------------------------------------------------
-
-
-class MessageStream:
-    """One side of an established v3 session over a blocking socket.
-
-    Created by :func:`connect_stream` / :func:`accept_stream` (which
-    run the handshake) or directly with ``ciphers=None`` for plaintext
-    framing over a trusted local socketpair (tests).
-
-    The reader keeps partial records in a buffer across
-    ``socket.timeout`` raises — a heartbeat timeout mid-frame does not
-    desynchronize the wire; the next :meth:`recv` continues exactly
-    where the last one left off.  ``max_frame`` bounds **every**
-    incoming record and outgoing frame.
-    """
-
-    def __init__(self, sock: socket.socket,
-                 ciphers: Optional[CipherPair] = None,
-                 max_frame: int = MAX_FRAME):
-        self.sock = sock
-        self.ciphers = ciphers
-        self.max_frame = max_frame
-        self._buf = bytearray()
-        self._pending: list = []  # decoded messages from the last batch
-
-    @property
-    def encrypted(self) -> bool:
-        return self.ciphers is not None
-
-    @property
-    def authenticated(self) -> bool:
-        return self.ciphers is not None and self.ciphers.authenticated
-
-    def send(self, message: Dict[str, Any]) -> None:
-        """Encode, seal, and write one message as a one-frame record."""
-        try:
-            frame = wire.encode_frame(message)
-        except WireError as exc:
-            raise ProtocolError(str(exc))
-        if len(frame) > self.max_frame:
-            raise ProtocolError("frame of %d bytes exceeds the session "
-                                "max_frame (%d)"
-                                % (len(frame), self.max_frame))
-        plain = pack_batch([frame])
-        record = plain if self.ciphers is None \
-            else self.ciphers.tx.seal(plain)
-        self.sock.sendall(_RECORD_HEADER.pack(len(record)) + record)
-
-    def recv(self) -> Optional[Dict[str, Any]]:
-        """One message; ``None`` on clean EOF; ``socket.timeout``
-        propagates with the partial record preserved."""
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
-            if len(self._buf) >= _RECORD_HEADER.size:
-                (length,) = _RECORD_HEADER.unpack(
-                    bytes(self._buf[:_RECORD_HEADER.size]))
-                self._check_length(length)
-                end = _RECORD_HEADER.size + length
-                if len(self._buf) >= end:
-                    record = bytes(self._buf[_RECORD_HEADER.size:end])
-                    del self._buf[:end]
-                    self._pending = self._decode(record)
-                    continue
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                if self._buf:
-                    raise ConnectionError("peer closed mid-frame")
-                return None
-            self._buf += chunk
-
-    def _check_length(self, length: int) -> None:
-        limit = self.max_frame + _RECORD_SLACK
-        if length > limit:
-            raise ProtocolError(
-                "incoming record claims %d bytes (session max_frame is "
-                "%d); dropping the peer" % (length, self.max_frame))
-
-    def _decode(self, record: bytes) -> list:
-        try:
-            blob = record if self.ciphers is None \
-                else self.ciphers.rx.open(record)
-        except FrameAuthError as exc:
-            raise ProtocolError(str(exc))
-        frames = split_batch(blob, self.max_frame)
-        try:
-            return [wire.decode_frame(frame) for frame in frames]
-        except WireError as exc:
-            raise ProtocolError(str(exc))
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def accept_stream(sock: socket.socket, secret: Optional[bytes],
-                  max_frame: int = MAX_FRAME) -> MessageStream:
-    """Worker side: run the v3 handshake, return the session channel.
-
-    Raises :class:`AuthError` (caller drops the connection) before any
-    data frame has been touched.
-    """
-    handshake = ServerHandshake(secret)
-    try:
-        send_raw(sock, handshake.banner())
-        confirm = handshake.verify(recv_raw(sock))
-        send_raw(sock, confirm)
-    except HandshakeError as exc:
-        raise AuthError(str(exc))
-    return MessageStream(sock, handshake.ciphers(), max_frame=max_frame)
-
-
-def connect_stream(sock: socket.socket, secret: Optional[bytes],
-                   max_frame: int = MAX_FRAME) -> MessageStream:
-    """Client side: run the v3 handshake, return the session channel.
-
-    Raises :class:`AuthError` when the worker demands a secret we do
-    not have, when our secret is rejected (connection closed mid-
-    handshake), when the worker cannot prove *it* knows the secret, or
-    when the peer speaks protocol v2.
-    """
-    handshake = ClientHandshake(secret)
-    try:
-        send_raw(sock, handshake.respond(recv_raw(sock)))
-        try:
-            confirm = recv_raw(sock)
-        except ConnectionError:
-            raise AuthError("worker rejected the handshake "
-                            "(connection closed)")
-        handshake.verify(confirm)
-    except HandshakeError as exc:
-        raise AuthError(str(exc))
-    ciphers = handshake.ciphers()
-    if secret is not None and not ciphers.authenticated:
-        # Unreachable while ClientHandshake refuses downgrades, but a
-        # secret-configured client must never ship work over an
-        # unauthenticated session regardless of handshake internals.
-        raise AuthError("handshake completed without authentication "
-                        "despite a configured secret")
-    return MessageStream(sock, ciphers, max_frame=max_frame)
-
-
-# --------------------------------------------------------------------------
-# Plaintext frame helpers (tests/diagnostics over trusted sockets only)
-# --------------------------------------------------------------------------
-
-
-def send_message(sock: socket.socket, message: Dict[str, Any],
-                 max_frame: int = MAX_FRAME) -> None:
-    """Write one *plaintext* v3 frame (no session crypto).
-
-    Real fabric sessions are always encrypted; this exists for tests
-    and local diagnostics over a socketpair.
-    """
-    try:
-        frame = wire.encode_frame(message)
-    except WireError as exc:
-        raise ProtocolError(str(exc))
-    if len(frame) > max_frame:
-        raise ProtocolError("frame of %d bytes exceeds MAX_FRAME (%d)"
-                            % (len(frame), max_frame))
-    sock.sendall(_RECORD_HEADER.pack(len(frame)) + frame)
-
-
-def recv_message(sock: socket.socket,
-                 max_frame: int = MAX_FRAME) -> Optional[Dict[str, Any]]:
-    """Read one *plaintext* v3 frame; ``None`` on clean EOF."""
-    header = _recv_exactly(sock, _RECORD_HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _RECORD_HEADER.unpack(header)
-    if length > max_frame:
-        raise ProtocolError("incoming frame claims %d bytes "
-                            "(MAX_FRAME is %d)" % (length, max_frame))
-    payload = _recv_exactly(sock, length) if length else b""
-    try:
-        return wire.decode_frame(payload)  # type: ignore[arg-type]
-    except WireError as exc:
-        raise ProtocolError(str(exc))
 
 
 def encodable(value: Any) -> Tuple[bool, str]:

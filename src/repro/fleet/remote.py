@@ -7,16 +7,17 @@ fabric uses.  Instead the *whole rollout* ships as one work item
 the fleet, runs the waves, streams one ``result`` frame per finished
 wave (so the coordinator side sees canary progress live), and returns
 the full report dict in the ``item-done`` frame.  The connection uses
-the same authenticated handshake as evaluation traffic — a secret-
+the same authenticated handshake and session opener as evaluation
+traffic (:func:`repro.distributed.aio.open_session`) — a secret-
 protected worker runs rollouts only for peers that prove the secret.
 """
 
 from __future__ import annotations
 
-import socket
+import asyncio
 from typing import Any, Callable, Dict, Optional
 
-from repro.distributed import protocol
+from repro.distributed import aio, protocol
 from repro.distributed.protocol import ProtocolError
 from repro.fleet.model import (
     RolloutError,
@@ -57,34 +58,44 @@ def run_remote_rollout(
         ) -> RolloutReport:
     """Client side: run ``plan`` on the worker at ``host:port``.
 
-    Raises :class:`RolloutError` when the worker reports a failure and
-    lets :class:`~repro.distributed.protocol.AuthError` /
-    :class:`ProtocolError` propagate for connection-level problems.
+    ``timeout`` bounds connecting and each wait for the worker's next
+    frame, not the whole rollout.  Raises :class:`RolloutError` when
+    the worker reports a failure, :class:`TimeoutError` when it falls
+    silent, and lets :class:`~repro.distributed.protocol.AuthError` /
+    :class:`ProtocolError` / :class:`OSError` propagate for
+    connection-level problems.
     """
     host, port = protocol.parse_address(address)
     if secret is None:
         secret = protocol.default_secret()
-    sock = socket.create_connection((host, port), timeout=timeout)
+    report_data = asyncio.run(_converse(address, host, port, plan,
+                                        secret, timeout, on_wave))
+    return RolloutReport.from_json_dict(report_data)
+
+
+async def _converse(address: str, host: str, port: int,
+                    plan: RolloutPlan, secret: Optional[bytes],
+                    timeout: float, on_wave) -> Dict[str, Any]:
+    """One session: ship the plan, relay waves, return the report."""
     try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        stream = protocol.connect_stream(sock, secret)
-        stream.send({
-            "type": protocol.HELLO,
-            "version": protocol.PROTOCOL_VERSION,
-            "disk_cache": None})
-        ready = stream.recv()
-        if ready is None or ready.get("type") != protocol.READY:
-            raise ProtocolError(
-                "worker %s rejected the handshake: %r"
-                % (address,
-                   (ready or {}).get("error", "connection closed")))
-        stream.send({
+        channel = await aio.open_session(
+            host, port, secret, hello={"disk_cache": None},
+            connect_timeout=timeout, ready_timeout=timeout)
+    except asyncio.TimeoutError:
+        raise TimeoutError("worker %s did not answer within %.0fs"
+                           % (address, timeout))
+    try:
+        await channel.send({
             "type": protocol.ITEM, "item_id": "rollout-0",
             "kind": "fleet-rollout",
             "plan": plan.to_json_dict()})
-        report_data: Optional[Dict[str, Any]] = None
         while True:
-            message = stream.recv()
+            try:
+                message = await asyncio.wait_for(channel.recv(),
+                                                 timeout)
+            except asyncio.TimeoutError:
+                raise TimeoutError("worker %s sent nothing for %.0fs"
+                                   % (address, timeout))
             if message is None:
                 raise ConnectionError(
                     "worker %s closed before finishing the rollout"
@@ -101,15 +112,12 @@ def run_remote_rollout(
                     "remote rollout failed on %s:\n%s"
                     % (address, message.get("error", "")))
         try:
-            stream.send({"type": protocol.SHUTDOWN})
+            await channel.send({"type": protocol.SHUTDOWN})
         except (ConnectionError, ProtocolError, OSError):
             pass
-        if not isinstance(report_data, dict):
-            raise ProtocolError("worker %s sent no rollout report"
-                                % address)
-        return RolloutReport.from_json_dict(report_data)
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        await channel.close()
+    if not isinstance(report_data, dict):
+        raise ProtocolError("worker %s sent no rollout report"
+                            % address)
+    return report_data

@@ -278,6 +278,14 @@ def test_fleet_bad_arguments_are_usage_errors(tmp_path, monkeypatch,
     assert main(["fleet", "rollout", "--cve", "CVE-2006-2451",
                  "--size", "2", "--canary", "9"]) == 2
     assert "canary" in capsys.readouterr().err
+    # A malformed worker address and an unreachable one are both
+    # usage errors, not rollout failures.
+    assert main(["fleet", "rollout", "--cve", "CVE-2006-2451",
+                 "--worker", "nocolon"]) == 2
+    assert "not host:port" in capsys.readouterr().err
+    assert main(["fleet", "rollout", "--cve", "CVE-2006-2451",
+                 "--worker", "127.0.0.1:9"]) == 2
+    assert "error:" in capsys.readouterr().err
     monkeypatch.setenv(ROLLOUT_FILE_ENV, str(tmp_path / "missing.json"))
     assert main(["fleet", "status"]) == 2
     assert "no rollout recorded" in capsys.readouterr().err

@@ -332,6 +332,10 @@ def test_http_error_statuses(daemon):
     with pytest.raises(ControlPlaneClientError) as excinfo:
         client.register_member("", KERNEL)
     assert excinfo.value.status == 400
+    with pytest.raises(ControlPlaneClientError,
+                       match="not host:port") as excinfo:
+        client.register_member("web-00", KERNEL, worker="nocolon")
+    assert excinfo.value.status == 400
     with pytest.raises(ControlPlaneClientError) as excinfo:
         client.rollout("no-such-rollout")
     assert excinfo.value.status == 404

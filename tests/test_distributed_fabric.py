@@ -8,18 +8,20 @@ fabric's three contracts: results byte-identical (after
 and survival of worker crashes via bounded retry and local rescue.
 """
 
+import asyncio
 import socket
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.compiler.cache import CacheStats, merge_stats_into
 from repro.distributed import (
+    AsyncChannel,
     Coordinator,
-    DistributedExecutor,
     ProtocolError,
+    aio,
+    open_session,
     parse_address,
     protocol,
     spawn_local_workers,
@@ -30,12 +32,7 @@ from repro.evaluation import (
     evaluate_corpus,
     normalize_result,
 )
-from repro.evaluation.engine import (
-    EngineStats,
-    _evaluate_group,
-    _evaluate_parallel,
-    _group_by_version,
-)
+from repro.evaluation.engine import EngineStats, _group_by_version
 
 
 @pytest.fixture(autouse=True)
@@ -69,59 +66,87 @@ def sequential_results():
 # -- protocol framing -------------------------------------------------------
 
 
+def _plaintext_channel(sock):
+    """An AsyncChannel without session crypto over one end of a
+    socketpair (must run on the event loop)."""
+
+    async def wrap():
+        reader, writer = await asyncio.open_connection(sock=sock)
+        return AsyncChannel(reader, writer, None)
+
+    return wrap()
+
+
 def test_message_roundtrip_over_socketpair():
     left, right = socket.socketpair()
-    try:
-        message = {"type": "item", "specs": [1, 2, 3], "blob": b"x" * 1000}
-        protocol.send_message(left, message)
-        received = protocol.recv_message(right)
-        assert received == message
-        left.close()
-        assert protocol.recv_message(right) is None  # clean EOF
-    finally:
-        right.close()
+
+    async def scenario():
+        sender = await _plaintext_channel(left)
+        receiver = await _plaintext_channel(right)
+        message = {"type": "item", "specs": [1, 2, 3],
+                   "blob": b"x" * 1000}
+        await sender.send(message)
+        assert await receiver.recv() == message
+        await sender.close()
+        assert await receiver.recv() is None  # clean EOF
+        await receiver.close()
+
+    asyncio.run(scenario())
 
 
 def test_oversized_frame_is_rejected_before_allocation():
+    """A forged record header over the cap fails the channel on the
+    header alone — no payload is read, allocated or decoded."""
     left, right = socket.socketpair()
+
+    async def scenario():
+        channel = await _plaintext_channel(right)
+        left.sendall((protocol.MAX_FRAME + 4096).to_bytes(4, "big"))
+        with pytest.raises(ProtocolError, match="dropping the peer"):
+            await asyncio.wait_for(channel.recv(), 10.0)
+        await channel.close()
+
     try:
-        header = (protocol.MAX_FRAME + 4096).to_bytes(4, "big")
-        left.sendall(header)
-        with pytest.raises(ProtocolError):
-            protocol.MessageStream(right).recv()
+        asyncio.run(scenario())
     finally:
         left.close()
-        right.close()
 
 
-def test_message_stream_survives_timeout_mid_frame():
-    """A heartbeat timeout mid-frame must not desynchronize the wire."""
+def test_channel_partial_record_survives_timeout():
+    """A heartbeat ``wait_for`` timeout mid-record must not
+    desynchronize the wire: the reader task keeps the partial record
+    and the next recv() decodes it once the rest arrives."""
     from repro.distributed import wire
     from repro.distributed.protocol import pack_batch
 
     left, right = socket.socketpair()
-    try:
-        stream = protocol.MessageStream(right)
-        frame = wire.encode_frame({"type": "item", "item_id": 7,
-                                   "blob": b"y" * 4096})
-        expected = wire.decode_frame(frame)
-        record = pack_batch([frame])
-        buf = len(record).to_bytes(4, "big") + record
-        right.settimeout(0.05)
+    frame = wire.encode_frame({"type": "item", "item_id": 7,
+                               "blob": b"y" * 4096})
+    record = pack_batch([frame])
+    buf = len(record).to_bytes(4, "big") + record
+
+    async def scenario():
+        channel = await _plaintext_channel(right)
         left.sendall(buf[:100])  # first fragment only
-        with pytest.raises(socket.timeout):
-            stream.recv()
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(channel.recv(), 0.05)
         left.sendall(buf[100:])  # the rest arrives later
-        assert stream.recv() == expected
+        received = await asyncio.wait_for(channel.recv(), 10.0)
+        await channel.close()
+        return received
+
+    try:
+        assert asyncio.run(scenario()) == wire.decode_frame(frame)
     finally:
         left.close()
-        right.close()
 
 
 def test_parse_address_validation():
     assert parse_address("10.0.0.1:5000") == ("10.0.0.1", 5000)
-    assert parse_address("[::1]:80") == ("[::1]", 80)
-    for bad in ("nocolon", ":5000", "host:", "host:abc", "host:70000"):
+    assert parse_address("[::1]:80") == ("::1", 80)
+    assert parse_address("::1:80") == ("::1", 80)
+    for bad in ("nocolon", ":5000", "[]:80", "host:", "host:abc",
+                "host:70000"):
         with pytest.raises(ProtocolError):
             parse_address(bad)
     with pytest.raises(ProtocolError):
@@ -129,26 +154,43 @@ def test_parse_address_validation():
     assert parse_address("host:0", allow_zero=True) == ("host", 0)
 
 
-def test_version_mismatch_rejected_at_handshake():
-    done = {}
-
-    def fake_worker(listener):
-        sock, _ = listener.accept()
-        stream = protocol.accept_stream(sock, None)
-        hello = stream.recv()
-        done["version"] = hello["version"]
-        stream.send({"type": protocol.ERROR,
-                     "item_id": None,
-                     "error": "protocol version mismatch"})
-        sock.close()
-
+def _fake_worker(session):
+    """Accept one coordinator on a thread with its own event loop, run
+    the v3 handshake, then hand the channel to ``session``."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    port = listener.getsockname()[1]
-    thread = threading.Thread(target=fake_worker, args=(listener,),
-                              daemon=True)
+
+    def run():
+        sock, _ = listener.accept()
+
+        async def serve():
+            reader, writer = await asyncio.open_connection(sock=sock)
+            channel = await aio.accept_channel(reader, writer, None)
+            try:
+                await session(channel)
+            finally:
+                await channel.close()
+
+        asyncio.run(serve())
+
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
+    return listener, thread
+
+
+def test_version_mismatch_rejected_at_handshake():
+    done = {}
+
+    async def session(channel):
+        hello = await channel.recv()
+        done["version"] = hello["version"]
+        await channel.send({"type": protocol.ERROR,
+                            "item_id": None,
+                            "error": "protocol version mismatch"})
+
+    listener, thread = _fake_worker(session)
+    port = listener.getsockname()[1]
     stats = EngineStats()
     coordinator = Coordinator(["127.0.0.1:%d" % port],
                               connect_timeout=5.0)
@@ -166,37 +208,29 @@ def test_stale_error_frame_does_not_fail_inflight_item():
     stale results, not fail the item currently in flight."""
     fake_result = {"ok": True}
 
-    def fake_worker(listener):
-        sock, _ = listener.accept()
-        sock.settimeout(10.0)
-        stream = protocol.accept_stream(sock, None)
-        assert stream.recv()["type"] == protocol.HELLO
-        stream.send({"type": protocol.READY,
-                     "version": protocol.PROTOCOL_VERSION})
-        item = stream.recv()
+    async def session(channel):
+        assert (await channel.recv())["type"] == protocol.HELLO
+        await channel.send({"type": protocol.READY,
+                            "version": protocol.PROTOCOL_VERSION})
+        item = await channel.recv()
         assert item["type"] == protocol.ITEM
         # Zombie noise first: an error for an item this coordinator
         # never dispatched to us (retired id).
-        stream.send({"type": protocol.ERROR, "item_id": "i999",
-                     "error": "late failure from an abandoned item"})
-        stream.send({"type": protocol.RESULT,
-                     "item_id": item["item_id"], "offset": 0,
-                     "result": fake_result})
-        stream.send({"type": protocol.ITEM_DONE,
-                     "item_id": item["item_id"]})
+        await channel.send({"type": protocol.ERROR, "item_id": "i999",
+                            "error": "late failure from an abandoned "
+                                     "item"})
+        await channel.send({"type": protocol.RESULT,
+                            "item_id": item["item_id"], "offset": 0,
+                            "result": fake_result})
+        await channel.send({"type": protocol.ITEM_DONE,
+                            "item_id": item["item_id"]})
         while True:
-            message = stream.recv()
+            message = await channel.recv()
             if message is None or message["type"] == protocol.SHUTDOWN:
                 break
-        stream.close()
 
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
+    listener, thread = _fake_worker(session)
     port = listener.getsockname()[1]
-    thread = threading.Thread(target=fake_worker, args=(listener,),
-                              daemon=True)
-    thread.start()
     stats = EngineStats()
     coordinator = Coordinator(["127.0.0.1:%d" % port],
                               connect_timeout=5.0)
@@ -206,6 +240,41 @@ def test_stale_error_frame_does_not_fail_inflight_item():
     assert results == [fake_result]
     assert stats.retries == 0  # the stale error cost nothing
     assert stats.local_rescues == 0
+
+
+@pytest.mark.parametrize("answer_ready", [False, True],
+                         ids=["silent-before-ready", "silent-after-ready"])
+def test_silent_worker_raises_builtin_timeout_error(answer_ready):
+    """A remote rollout against a worker that falls silent — before
+    READY or after taking the item — raises the builtin TimeoutError,
+    which is an OSError, so the CLI maps it to exit 2 like any other
+    unreachable worker (asyncio.TimeoutError is not an OSError before
+    Python 3.11)."""
+    from repro.fleet import RolloutPlan, run_remote_rollout
+
+    async def session(channel):
+        assert (await channel.recv())["type"] == protocol.HELLO
+        if answer_ready:
+            await channel.send({"type": protocol.READY,
+                                "version": protocol.PROTOCOL_VERSION})
+            assert (await channel.recv())["type"] == protocol.ITEM
+        # Say nothing more; wait for the client to give up.
+        while await channel.recv() is not None:
+            pass
+
+    listener, thread = _fake_worker(session)
+    port = listener.getsockname()[1]
+    try:
+        with pytest.raises(TimeoutError) as caught:
+            run_remote_rollout(
+                "127.0.0.1:%d" % port,
+                RolloutPlan(cve_id="CVE-2006-2451", fleet_size=2),
+                timeout=0.5)
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+    assert isinstance(caught.value, OSError)
+    assert not thread.is_alive()
 
 
 # -- end-to-end over spawned localhost workers ------------------------------
@@ -309,30 +378,72 @@ def test_bad_worker_address_falls_back():
     assert len(report.results) == 2
 
 
-# -- the ProcessPoolExecutor-shaped surface ---------------------------------
-
-
-def test_executor_slots_into_evaluate_parallel(sequential_results):
-    """DistributedExecutor fills ProcessPoolExecutor's contract, so the
-    engine's local parallel path runs unchanged against remote hosts."""
-    specs = _slice()
-    workers = spawn_local_workers(2)
-    stats = EngineStats()
+def _has_ipv6_loopback():
+    if not socket.has_ipv6:
+        return False
     try:
-        results = _evaluate_parallel(
-            specs, False, False, None, 4, stats,
-            executor_factory=lambda n: DistributedExecutor(
-                [w.address for w in workers]))
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_ipv6_loopback(),
+                    reason="host has no IPv6 loopback")
+def test_worker_reached_at_bracketed_ipv6_address():
+    """``repro worker --listen [::1]:0`` binds, and ``[::1]:PORT`` as
+    a worker address reaches it instead of falling back locally."""
+    import os
+    import re
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker",
+         "--listen", "[::1]:0", "--once"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        banner = worker.stdout.readline()
+        match = re.search(r":(\d+) \(pid", banner)
+        assert match, banner
+        stats = EngineStats()
+        report = evaluate_corpus(
+            _slice(1), run_stress=False, stats=stats,
+            workers=["[::1]:%s" % match.group(1)])
     finally:
-        for worker in workers:
-            worker.stop()
-    assert results is not None
-    assert [normalize_result(r) for r in results] == sequential_results
+        worker.kill()
+        worker.wait(timeout=10.0)
+        worker.stdout.close()
+    assert not stats.fell_back, stats.fallback_reason
+    assert stats.workers == 1
+    assert report.results[0].success
 
 
-def test_executor_with_no_workers_raises_broken_executor():
-    with pytest.raises(BrokenExecutor):
-        DistributedExecutor(["127.0.0.1:9"])
+# -- per-worker cache accounting ---------------------------------------------
+
+
+async def _run_item_on(worker, version, specs):
+    """One evaluation item on ``worker``; returns its cache delta."""
+    channel = await open_session(worker.host, worker.port, None,
+                                 hello={"disk_cache": None})
+    try:
+        await channel.send({"type": protocol.ITEM, "item_id": "i0",
+                            "version": version, "specs": specs,
+                            "run_stress": False, "verify_undo": False})
+        while True:
+            message = await asyncio.wait_for(channel.recv(), 120.0)
+            assert message is not None, "worker closed mid-item"
+            assert message["type"] != protocol.ERROR, message["error"]
+            if message["type"] == protocol.ITEM_DONE:
+                return message["cache_delta"]
+    finally:
+        await channel.close()
 
 
 def test_cache_delta_merge_across_two_workers_overlapping_keys():
@@ -343,13 +454,14 @@ def test_cache_delta_merge_across_two_workers_overlapping_keys():
     same_version = [s for s in CORPUS if s.kernel_version == version][:2]
     assert len(same_version) == 2
     workers = spawn_local_workers(2)
+
+    async def one_per_worker():
+        return await asyncio.gather(*(
+            _run_item_on(worker, version, [spec])
+            for worker, spec in zip(workers, same_version)))
+
     try:
-        with DistributedExecutor([w.address for w in workers]) as pool:
-            futures = [
-                pool.submit(_evaluate_group,
-                            (version, [spec], False, False, None))
-                for spec in same_version]  # round-robin: one per worker
-            deltas = [f.result()[1] for f in futures]
+        deltas = asyncio.run(one_per_worker())
     finally:
         for worker in workers:
             worker.stop()

@@ -1,13 +1,16 @@
 """Tests for the hardened fabric: shared-secret handshake auth,
 per-item wall-clock timeouts, and remote fleet rollouts."""
 
+import asyncio
 import socket
+import threading
 
 import pytest
 
 from repro.distributed import (
     AuthError,
     ProtocolError,
+    aio,
     protocol,
     spawn_local_workers,
 )
@@ -25,11 +28,55 @@ def _fresh_caches():
     clear_caches()
 
 
-def _connect(worker):
-    sock = socket.create_connection((worker.host, worker.port),
-                                    timeout=10.0)
-    sock.settimeout(10.0)
-    return sock
+def _connect(host, port, secret):
+    """Client side of the v3 handshake, run to completion."""
+
+    async def handshake():
+        channel = await aio.connect_channel(host, port, secret,
+                                            connect_timeout=10.0)
+        await channel.close()
+
+    asyncio.run(handshake())
+
+
+def _send_raw(conn, payload):
+    """One length-prefixed cleartext handshake frame."""
+    conn.sendall(len(payload).to_bytes(4, "big") + payload)
+
+
+def _recv_raw(conn):
+    def exactly(count):
+        data = b""
+        while len(data) < count:
+            chunk = conn.recv(count - len(data))
+            if not chunk:
+                raise ConnectionError("peer closed mid-frame")
+            data += chunk
+        return data
+
+    return exactly(int.from_bytes(exactly(4), "big"))
+
+
+def _impostor(serve_one):
+    """A one-connection fake worker on a thread; returns its address
+    and a cleanup callable."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def run():
+        conn, _ = server.accept()
+        with conn:
+            serve_one(conn)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def cleanup():
+        server.close()
+        thread.join(5.0)
+
+    return server.getsockname(), cleanup
 
 
 # -- handshake authentication ------------------------------------------------
@@ -41,12 +88,8 @@ def test_unauthenticated_peer_dropped_before_any_decode():
     stays up for properly authenticated peers."""
     workers = spawn_local_workers(1, secret=SECRET)
     try:
-        sock = _connect(workers[0])
-        try:
-            with pytest.raises(AuthError, match="requires a shared"):
-                protocol.connect_stream(sock, None)
-        finally:
-            sock.close()
+        with pytest.raises(AuthError, match="requires a shared"):
+            _connect(workers[0].host, workers[0].port, None)
 
         # Same worker process, correct secret: a full remote rollout.
         report = run_remote_rollout(
@@ -61,12 +104,8 @@ def test_unauthenticated_peer_dropped_before_any_decode():
 def test_wrong_secret_is_rejected():
     workers = spawn_local_workers(1, secret=SECRET)
     try:
-        sock = _connect(workers[0])
-        try:
-            with pytest.raises(ProtocolError):
-                protocol.connect_stream(sock, b"not-the-secret")
-        finally:
-            sock.close()
+        with pytest.raises(ProtocolError):
+            _connect(workers[0].host, workers[0].port, b"not-the-secret")
     finally:
         workers[0].stop()
 
@@ -76,35 +115,20 @@ def test_client_detects_impostor_worker():
     prove it knows it must be refused by the client."""
     from repro.distributed.crypto import ServerHandshake
 
-    def impostor(server):
-        conn, _ = server.accept()
-        with conn:
-            # A worker that *demands* the secret but holds a wrong one
-            # cannot compute the confirmation the client expects.
-            handshake = ServerHandshake(b"some-other-secret")
-            protocol.send_raw(conn, handshake.banner())
-            protocol.recv_raw(conn)  # client proof; impostor can't check
-            protocol.send_raw(conn, b"\x00" * 32)  # forged confirmation
+    def impostor(conn):
+        # A worker that *demands* the secret but holds a wrong one
+        # cannot compute the confirmation the client expects.
+        handshake = ServerHandshake(b"some-other-secret")
+        _send_raw(conn, handshake.banner())
+        _recv_raw(conn)  # client proof; impostor can't check it
+        _send_raw(conn, b"\x00" * 32)  # forged confirmation
 
-    import threading
-
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    thread = threading.Thread(target=impostor, args=(server,),
-                              daemon=True)
-    thread.start()
+    (host, port), cleanup = _impostor(impostor)
     try:
-        sock = socket.create_connection(server.getsockname(), timeout=10)
-        sock.settimeout(10.0)
-        try:
-            with pytest.raises(AuthError, match="failed to prove"):
-                protocol.connect_stream(sock, SECRET)
-        finally:
-            sock.close()
+        with pytest.raises(AuthError, match="failed to prove"):
+            _connect(host, port, SECRET)
     finally:
-        server.close()
-        thread.join(5.0)
+        cleanup()
 
 
 def test_client_refuses_anonymous_downgrade():
@@ -114,35 +138,20 @@ def test_client_refuses_anonymous_downgrade():
     DH and ship work to a peer that proved nothing."""
     from repro.distributed.crypto import ServerHandshake
 
-    def impostor(server):
-        conn, _ = server.accept()
-        with conn:
-            handshake = ServerHandshake(None)  # anonymous-mode banner
-            protocol.send_raw(conn, handshake.banner())
-            try:
-                protocol.recv_raw(conn)  # client hangs up instead
-            except (ConnectionError, OSError, ProtocolError):
-                pass
-
-    import threading
-
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    thread = threading.Thread(target=impostor, args=(server,),
-                              daemon=True)
-    thread.start()
-    try:
-        sock = socket.create_connection(server.getsockname(), timeout=10)
-        sock.settimeout(10.0)
+    def impostor(conn):
+        handshake = ServerHandshake(None)  # anonymous-mode banner
+        _send_raw(conn, handshake.banner())
         try:
-            with pytest.raises(AuthError, match="downgrade"):
-                protocol.connect_stream(sock, SECRET)
-        finally:
-            sock.close()
+            _recv_raw(conn)  # client hangs up instead
+        except (ConnectionError, OSError):
+            pass
+
+    (host, port), cleanup = _impostor(impostor)
+    try:
+        with pytest.raises(AuthError, match="downgrade"):
+            _connect(host, port, SECRET)
     finally:
-        server.close()
-        thread.join(5.0)
+        cleanup()
 
 
 def test_authenticated_evaluation_matches_open(monkeypatch):
@@ -245,21 +254,35 @@ def test_reconnect_after_worker_death_is_counted():
 def test_oversize_frame_drops_peer_post_handshake():
     """max_frame binds *after* the handshake too: a session frame
     larger than the configured cap is a ProtocolError on the sender
-    and, wire-injected, on the receiver."""
-    left, right = socket.socketpair()
-    try:
-        sender = protocol.MessageStream(left, max_frame=1024)
-        with pytest.raises(ProtocolError, match="exceeds the session"):
-            sender.send({"type": "item", "blob": b"z" * 2048})
-        # Receiver side: a forged record header over the cap is
-        # rejected before any allocation or decode.
-        receiver = protocol.MessageStream(right, max_frame=1024)
-        left.sendall((1024 + 4096).to_bytes(4, "big"))
-        with pytest.raises(ProtocolError, match="dropping the peer"):
-            receiver.recv()
-    finally:
-        left.close()
-        right.close()
+    and, arriving from a peer with a looser cap, on the receiver."""
+
+    async def scenario():
+        accepted = asyncio.get_running_loop().create_future()
+
+        async def handle(reader, writer):
+            accepted.set_result(await aio.accept_channel(
+                reader, writer, SECRET, max_frame=1024))
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        loose = await aio.connect_channel(host, port, SECRET)
+        capped = await accepted
+        try:
+            with pytest.raises(ProtocolError,
+                               match="exceeds the session"):
+                await capped.send({"type": "item", "blob": b"z" * 2048})
+            # The record's length header alone condemns it: the peer
+            # is dropped before any allocation or decode.
+            await loose.send({"type": "item", "blob": b"z" * 8192})
+            with pytest.raises(ProtocolError, match="dropping the peer"):
+                await asyncio.wait_for(capped.recv(), 10.0)
+        finally:
+            await loose.close()
+            await capped.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
 
 
 # -- per-item wall-clock timeout ---------------------------------------------

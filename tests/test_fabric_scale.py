@@ -1,10 +1,9 @@
-"""The fleet-rollout fabric: both dispatchers, small fleets.
+"""The fleet-rollout fabric: the asyncio dispatcher, small fleets.
 
 The scale numbers live in ``benchmarks/bench_fabric_scale.py``; these
 tests pin the *behavioral* contract at CI-friendly sizes: every ack
-collected, encrypted sessions, identical counting on the asyncio
-fabric and the threaded v2-architecture baseline, and honest failure
-accounting when members misbehave.
+collected, encrypted sessions, and honest failure accounting when
+members misbehave.
 """
 
 import asyncio
@@ -15,8 +14,8 @@ import pytest
 from repro.distributed.fabric import (
     ACK_CORRUPT,
     ACK_OK,
+    DispatchReport,
     RolloutDispatcher,
-    ThreadedRolloutDispatcher,
     make_payload,
     run_members,
     verify_payload,
@@ -44,15 +43,14 @@ def _member_thread(members):
     return holder, on_listen
 
 
-@pytest.mark.parametrize("dispatcher_cls",
-                         [RolloutDispatcher, ThreadedRolloutDispatcher])
-def test_rollout_collects_every_ack(dispatcher_cls):
+def test_rollout_collects_every_ack():
     members, waves = 12, 3
     holder, on_listen = _member_thread(members)
-    dispatcher = dispatcher_cls(expected=members, secret=SECRET,
-                                join_timeout=60.0, on_listen=on_listen)
+    dispatcher = RolloutDispatcher(expected=members, secret=SECRET,
+                                   join_timeout=60.0, on_listen=on_listen)
     report = dispatcher.run(_updates(waves))
     holder["thread"].join(timeout=30.0)
+    assert isinstance(report, DispatchReport)
     assert report.members == members
     assert report.acks == members * waves
     assert report.failures == 0
@@ -60,11 +58,9 @@ def test_rollout_collects_every_ack(dispatcher_cls):
     assert report.updates_per_s > 0
 
 
-@pytest.mark.parametrize("dispatcher_cls",
-                         [RolloutDispatcher, ThreadedRolloutDispatcher])
-def test_corrupt_payload_is_not_acked_ok(dispatcher_cls):
+def test_corrupt_payload_is_not_acked_ok():
     """A payload whose CRC does not verify must be counted as a
-    failure, not an ack — on both fabrics identically."""
+    failure, not an ack."""
     members, waves = 4, 2
     bad = b"\x00\x00\x00\x00corrupt"  # CRC of b"corrupt" is not 0
     assert not verify_payload(bad)
@@ -72,9 +68,9 @@ def test_corrupt_payload_is_not_acked_ok(dispatcher_cls):
                ("CVE-2026-0001", bad)]
     assert len(updates) == waves
     holder, on_listen = _member_thread(members)
-    dispatcher = dispatcher_cls(expected=members, secret=SECRET,
-                                join_timeout=60.0, member_timeout=15.0,
-                                on_listen=on_listen)
+    dispatcher = RolloutDispatcher(expected=members, secret=SECRET,
+                                   join_timeout=60.0, member_timeout=15.0,
+                                   on_listen=on_listen)
     report = dispatcher.run(updates)
     holder["thread"].join(timeout=30.0)
     assert report.acks == members  # only the intact wave

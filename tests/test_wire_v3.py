@@ -14,7 +14,6 @@ Hypothesis drives three invariants the fabric depends on:
   layer and at the handshake banner.
 """
 
-import socket
 import struct
 
 import pytest
@@ -248,15 +247,36 @@ def test_v2_pickle_banner_rejected_at_handshake():
 
 def test_v2_style_client_rejected_by_worker():
     """A coordinator that skips the crypto handshake and speaks
-    length-prefixed pickle at a v3 worker is dropped cleanly."""
-    left, right = socket.socketpair()
-    try:
-        import pickle
+    length-prefixed pickle at a v3 worker is dropped cleanly by the
+    worker's side of the handshake."""
+    import asyncio
+    import pickle
 
+    from repro.distributed import aio
+
+    async def scenario():
+        outcome = asyncio.get_running_loop().create_future()
+
+        async def handle(reader, writer):
+            try:
+                await aio.accept_channel(reader, writer, None)
+            except Exception as exc:
+                outcome.set_result(exc)
+            else:
+                outcome.set_result(None)
+            writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        reader, writer = await asyncio.open_connection(host, port)
         payload = pickle.dumps({"type": "hello", "version": 2})
-        left.sendall(len(payload).to_bytes(8, "big") + payload)
-        with pytest.raises((ProtocolError, ConnectionError)):
-            protocol.accept_stream(right, None)
-    finally:
-        left.close()
-        right.close()
+        writer.write(len(payload).to_bytes(8, "big") + payload)
+        try:
+            return await asyncio.wait_for(outcome, 10.0)
+        finally:
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+    assert isinstance(asyncio.run(scenario()),
+                      (ProtocolError, ConnectionError))
