@@ -19,6 +19,16 @@ Both ticks are measured — identity is always checked between runs at
 the *same* tick — and the headline >=5x acceptance applies to the
 throughput tick, where trace bodies amortize dispatch.
 
+One more row, ``fresh-fleet@q50``, models a fleet-rollout member's
+whole life instead of a long-running loop: each round boots a fresh
+4-member stress fleet (:meth:`repro.fleet.Fleet.boot` with
+``workload="stress"``) and runs 4 keepalive slices of 2,000
+instructions per member.  Its JIT side starts from an empty shared
+trace table, so the first fleet pays for recording and compiling and
+later fleets install those traces.  The row is identity-checked like
+the others and report-only: it stays out of the per-tick aggregates
+and their acceptance bars.
+
 Run directly:
 
 * ``--smoke`` — CI-sized: small workloads at the throughput tick;
@@ -33,13 +43,16 @@ Under pytest the smoke-sized measurement runs as a benchmark.
 
 import gc
 import time
+from functools import partial
 
 import perfjson
 
 from repro.evaluation.engine import run_build_for
 from repro.evaluation.kernels import kernel_for_version
 from repro.evaluation.stress import STRESS_OK
+from repro.fleet import Fleet
 from repro.kernel import boot_kernel, set_jit_enabled
+from repro.kernel.jit import TRACE_TABLE
 
 VERSION = "2.6.16-deb3"
 
@@ -116,6 +129,15 @@ WORKLOADS = (
 )
 
 
+#: the fresh-fleet row: members per fleet, keepalive slices per
+#: member and instructions per slice (the fleet-rollout lifetime)
+FLEET_SIZE = 4
+FLEET_SLICES = 4
+FLEET_SLICE_INSNS = 2_000
+#: fleets booted per fresh-fleet measurement (full, smoke)
+FLEET_ROUNDS = (16, 4)
+
+
 def _memory_digest(machine):
     """Stable digest of the final memory image.
 
@@ -160,8 +182,9 @@ def _run_one(build, tree, source, rounds, quantum, jit):
         set_jit_enabled(prev)
 
 
-def _run_best(build, tree, source, rounds, quantum, jit, reps):
-    """Best-of-N timing: fresh machine per rep, keep the fastest.
+def _run_best(measure_once, reps):
+    """Best-of-N timing: ``measure_once()`` boots fresh machines per
+    rep; keep the fastest.
 
     Architectural results must be identical across reps (same program,
     same quantum — any difference is a determinism bug, not noise), so
@@ -169,7 +192,7 @@ def _run_best(build, tree, source, rounds, quantum, jit, reps):
     """
     best = None
     for _ in range(max(1, reps)):
-        run = _run_one(build, tree, source, rounds, quantum, jit)
+        run = measure_once()
         if best is None:
             best = run
         else:
@@ -179,6 +202,68 @@ def _run_best(build, tree, source, rounds, quantum, jit, reps):
             if run["seconds"] < best["seconds"]:
                 best = run
     return best
+
+
+def _run_fresh_fleets(kernel, rounds, jit):
+    """Boot ``rounds`` fresh stress fleets and run each member's
+    keepalive slices; only the slices are timed."""
+    prev = set_jit_enabled(jit)
+    try:
+        TRACE_TABLE.clear()
+        seconds = 0.0
+        insns = traced = compiled = 0
+        arch = []
+        for _ in range(rounds):
+            fleet = Fleet.boot(kernel, FLEET_SIZE, workload="stress")
+            # boot's own instructions are not part of the row
+            traced -= sum(member.machine.trace_stats()["traced_insns"]
+                          for member in fleet.members)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                for _ in range(FLEET_SLICES):
+                    for member in fleet.members:
+                        insns += member.machine.run(FLEET_SLICE_INSNS)
+                seconds += time.perf_counter() - start
+            finally:
+                gc.enable()
+            for member in fleet.members:
+                machine = member.machine
+                stats = machine.trace_stats()
+                traced += stats["traced_insns"]
+                compiled += stats["traces_compiled"]
+                arch.append((
+                    machine.scheduler.total_instructions,
+                    tuple(tuple(t.cpu.regs)
+                          for t in machine.scheduler.threads),
+                    _memory_digest(machine)))
+        return {
+            "insns": insns,
+            "seconds": seconds,
+            "rate": insns / seconds if seconds else 0.0,
+            "arch": arch,
+            "trace_stats": {
+                "trace_hit_rate": traced / insns if insns else 0.0,
+                "traces_compiled": compiled,
+            },
+        }
+    finally:
+        set_jit_enabled(prev)
+
+
+def _row(interp, jit):
+    """One workload row of the payload."""
+    stats = jit["trace_stats"]
+    return {
+        "insns": interp["insns"],
+        "interp_insns_per_s": round(interp["rate"]),
+        "jit_insns_per_s": round(jit["rate"]),
+        "speedup": round(jit["rate"] / interp["rate"], 2)
+        if interp["rate"] else 0.0,
+        "trace_hit_rate": round(stats.get("trace_hit_rate", 0.0), 4),
+        "traces_compiled": stats.get("traces_compiled", 0),
+    }
 
 
 def measure(smoke, ticks=(THROUGHPUT_TICK,), reps=1):
@@ -198,10 +283,10 @@ def measure(smoke, ticks=(THROUGHPUT_TICK,), reps=1):
         total_insns = 0
         for name, source, full_rounds, smoke_rounds in WORKLOADS:
             rounds = smoke_rounds if smoke else full_rounds
-            interp = _run_best(build, kernel.tree, source, rounds,
-                               quantum, jit=False, reps=reps)
-            jit = _run_best(build, kernel.tree, source, rounds,
-                            quantum, jit=True, reps=reps)
+            interp, jit = (
+                _run_best(partial(_run_one, build, kernel.tree, source,
+                                  rounds, quantum, enabled), reps)
+                for enabled in (False, True))
             for run, label in ((interp, "interp"), (jit, "jit")):
                 if run["exit_value"] != STRESS_OK:
                     failures.append(
@@ -215,17 +300,8 @@ def measure(smoke, ticks=(THROUGHPUT_TICK,), reps=1):
             total_interp_s += interp["seconds"]
             total_jit_s += jit["seconds"]
             total_insns += interp["insns"]
-            stats = jit["trace_stats"]
-            payload["workloads"]["%s@q%d" % (name, quantum)] = {
-                "insns": interp["insns"],
-                "interp_insns_per_s": round(interp["rate"]),
-                "jit_insns_per_s": round(jit["rate"]),
-                "speedup": round(jit["rate"] / interp["rate"], 2)
-                if interp["rate"] else 0.0,
-                "trace_hit_rate": round(
-                    stats.get("trace_hit_rate", 0.0), 4),
-                "traces_compiled": stats.get("traces_compiled", 0),
-            }
+            payload["workloads"]["%s@q%d" % (name, quantum)] = _row(
+                interp, jit)
         interp_rate = total_insns / total_interp_s
         jit_rate = total_insns / total_jit_s
         payload["ticks"]["q%d" % quantum] = {
@@ -233,6 +309,16 @@ def measure(smoke, ticks=(THROUGHPUT_TICK,), reps=1):
             "jit_insns_per_s": round(jit_rate),
             "speedup": round(jit_rate / interp_rate, 2),
         }
+    # report-only: outside the tick aggregates and their bars
+    fleet_rounds = FLEET_ROUNDS[1] if smoke else FLEET_ROUNDS[0]
+    interp, jit = (
+        _run_best(partial(_run_fresh_fleets, kernel, fleet_rounds,
+                          enabled), reps)
+        for enabled in (False, True))
+    name = "fresh-fleet@q%d" % DEFAULT_TICK
+    if interp["arch"] != jit["arch"]:
+        failures.append("%s architectural divergence" % name)
+    payload["workloads"][name] = _row(interp, jit)
     return payload, failures
 
 

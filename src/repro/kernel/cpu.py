@@ -28,7 +28,12 @@ from repro.arch.isa import (
     instruction_length,
 )
 from repro.errors import DisassemblyError, MachineError
-from repro.kernel.jit import HOT_THRESHOLD, TraceRecorder, compile_recorded
+from repro.kernel.jit import (
+    HOT_THRESHOLD,
+    TraceRecorder,
+    compile_recorded,
+    install_shared,
+)
 from repro.kernel.memory import Memory
 
 _MASK = 0xFFFFFFFF
@@ -487,11 +492,13 @@ class _DecodeCache:
     def invalidate_range(self, address: int, count: int) -> None:
         """Executable bytes in [address, address+count) changed.
 
-        Drops cached instructions that could overlap the write (an
-        instruction can start up to max-length minus one bytes before
-        it) and evicts any trace whose compiled byte range overlaps.
-        Evicted traces are flagged invalid so generated code that is
-        *currently executing* the trace side-exits after the store.
+        Drops cached instructions and hotness counters of heads that
+        could overlap the write (an instruction can start up to
+        max-length minus one bytes before it) and evicts any trace
+        whose compiled byte range overlaps.  Evicted traces are flagged
+        invalid so generated code that is *currently executing* the
+        trace side-exits after the store.  Dropping the counters also
+        lifts a blacklisted head's back-off: its new bytes may record.
 
         The kernel image maps text and data in one executable segment,
         so every store to a kernel global lands here; the code-word
@@ -504,18 +511,12 @@ class _DecodeCache:
             if word >= last:
                 return
             word += 1
-        entries = self.entries
-        if entries:
-            lo = address - (MAX_INSTRUCTION_LENGTH - 1)
-            span = count + MAX_INSTRUCTION_LENGTH - 1
-            if span > 4 * len(entries) + 64:
-                entries.clear()
-            else:
-                for ip in range(lo, lo + span):
-                    entries.pop(ip, None)
+        lo = address - (MAX_INSTRUCTION_LENGTH - 1)
+        hi = address + count
+        _drop_keys(self.entries, lo, hi)
+        _drop_keys(self.counters, lo, hi)
         traces = self.traces
         if traces:
-            hi = address + count
             dead = [entry for entry, trace in traces.items()
                     if trace.lo < hi and address < trace.hi]
             for entry in dead:
@@ -542,6 +543,17 @@ class _DecodeCache:
         self.counters.clear()
         self.recording = None
         self.code_words.clear()
+
+
+def _drop_keys(table: dict, lo: int, hi: int) -> None:
+    """Drop the PCs in [lo, hi) from a PC-keyed dict, walking whichever
+    of the range and the dict is smaller."""
+    if hi - lo > 4 * len(table) + 64:
+        for ip in [ip for ip in table if lo <= ip < hi]:
+            del table[ip]
+    else:
+        for ip in range(lo, hi):
+            table.pop(ip, None)
 
 
 def _cache_for(memory: Memory) -> _DecodeCache:
@@ -647,11 +659,12 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
     targets (``state.ip <= ip`` after an instruction means control
     moved backwards: a loop head or hot return site), compiles a
     target crossing :data:`~repro.kernel.jit.HOT_THRESHOLD` into a
-    superinstruction, and dispatches to compiled traces at slice entry
-    and after every backward transfer.  A trace only runs when the
-    remaining step budget covers a worst-case pass, so quantum
-    boundaries — and therefore scheduler interleavings — are
-    bit-identical to the pure interpreter.
+    superinstruction (or, at a target's first dispatch, installs one
+    another machine compiled over the same bytes), and dispatches to
+    compiled traces at slice entry and after every backward transfer.
+    A trace only runs when the remaining step budget covers a
+    worst-case pass, so quantum boundaries — and therefore scheduler
+    interleavings — are bit-identical to the pure interpreter.
     """
     cache = _cache_for(memory)
     normal = _NORMAL
@@ -719,12 +732,33 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
         traces_get = traces.get
         counters = cache.counters
         counters_get = counters.get
+        code_words = cache.code_words
         rec = cache.recording
         while executed < max_steps:
             ip = state.ip
             if check and rec is None:
                 check = False
                 trace = traces_get(ip)
+                if trace is None:
+                    # Hotness is counted at dispatch points: loop
+                    # heads (every back edge re-arms the check),
+                    # slice-start PCs (where the previous quantum's
+                    # trace stopped — these become rotated loop
+                    # traces), and trace side-exit continuations.  A
+                    # PC's first dispatch here (and its first after
+                    # an eviction) instead looks for a variant another
+                    # machine compiled over these very bytes.
+                    count = counters_get(ip, 0) + 1
+                    counters[ip] = count
+                    if count == 1:
+                        trace = install_shared(ip, memory, code_words,
+                                               StepEvent)
+                        if trace is not None:
+                            traces[ip] = trace
+                            cache.compiled += 1
+                            TRACE_STATS.compiled += 1
+                    elif count >= HOT_THRESHOLD:
+                        rec = cache.recording = TraceRecorder(ip)
                 if trace is not None:
                     ran, tevent, fault = trace.fn(state, memory,
                                                   max_steps - executed)
@@ -743,16 +777,6 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                         check = True
                         continue
                     # non-positive budget (can't happen): interpret
-                else:
-                    # Hotness is counted at dispatch points: loop
-                    # heads (every back edge re-arms the check),
-                    # slice-start PCs (where the previous quantum's
-                    # trace stopped — these become rotated loop
-                    # traces), and trace side-exit continuations.
-                    count = counters_get(ip, 0) + 1
-                    counters[ip] = count
-                    if count >= HOT_THRESHOLD:
-                        rec = cache.recording = TraceRecorder(ip)
             op = entries_get(ip)
             if op is None:
                 try:
@@ -785,20 +809,21 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                         rec.exit_target = nip
                         status = "ok"
                     if status is not None:
-                        if status == "ok" and cache.recording is rec:
-                            new_trace = compile_recorded(rec, memory,
-                                                         StepEvent)
-                            if new_trace is not None:
-                                traces[rec.entry] = new_trace
-                                cache.compiled += 1
-                                TRACE_STATS.compiled += 1
-                            else:
-                                # uncompilable path (e.g. spans
-                                # segments): back the counter off so
-                                # it isn't re-recorded every pass.  A
-                                # later patch to the region clears
-                                # counters wholesale, re-enabling it.
-                                counters[rec.entry] = -(1 << 30)
+                        new_trace = None
+                        if status == "ok":
+                            new_trace = compile_recorded(
+                                rec, memory, code_words, StepEvent)
+                        if new_trace is not None:
+                            traces[rec.entry] = new_trace
+                            cache.compiled += 1
+                            TRACE_STATS.compiled += 1
+                        else:
+                            # decode fault or uncompilable path (e.g.
+                            # spans segments): back the head off so it
+                            # isn't re-recorded every pass.  A later
+                            # write over the head's bytes drops its
+                            # counter, re-enabling it.
+                            counters[rec.entry] = -(1 << 30)
                         rec = cache.recording = None
             elif event is normal and nip <= ip:
                 check = True

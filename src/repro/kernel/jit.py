@@ -39,14 +39,28 @@ classic tracing translator:
    ``_DecodeCache.invalidate_range`` and flips ``valid`` so an
    *in-flight* trace side-exits right after the store that patched it.
 
-Generated code objects are cached globally per (entry, path, region
-bytes) so a fleet of identical kernels compiles each hot path once and
-every member just re-binds it to its own memory.
+A recording in flight belongs to the machine, not to a thread, so a
+thread switch (the quantum expiring with another thread runnable) is
+the one way the next retired instruction breaks continuity.  The
+recording is then committed as a ``cap`` trace that exits where the
+switched-out thread would have continued: the path so far is a real,
+exactly-recorded prefix, and discarding it would leave the head hot
+and re-armed at its very next dispatch.  Any other abort (a decode
+fault) blacklists the head instead.
+
+Compiled variants live in one process-wide table keyed by entry PC,
+each with the region bytes it was compiled from.  Compiles dedupe on
+(entry, path, bytes), so a fleet of identical kernels compiles each
+hot path once; and the first time a machine dispatches at a PC it has
+no trace for, it installs the newest variant whose bytes match its
+own memory without recording at all — a freshly booted member starts
+out traced.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.isa import (
     Instruction,
@@ -69,9 +83,7 @@ MAX_TRACE_INSNS = 128
 #: interpreter covers the tail) to keep their compile cost down
 CAREFUL_MAX = 128
 
-#: generated code objects, keyed by (entry pc, path, region bytes) —
-#: shared across machines so a fleet compiles each hot path once
-_CODE_CACHE: Dict[tuple, object] = {}
+#: cap on compiled variants in the process-wide trace table
 _CODE_CACHE_MAX = 4096
 
 #: opcodes that always end a recording.  Calls and returns are *not*
@@ -180,7 +192,7 @@ _RELOAD = ("_l1, _h1, _v1, _b1, _k1, _q1, "
 
 
 class CompiledTrace:
-    """One compiled path: entry PC, covered byte range, executor.
+    """One trace bound to one machine: entry PC, byte range, executor.
 
     ``fn(state, memory, budget)`` returns ``(executed, event, fault)``
     exactly like ``run_slice``'s inner step.  A *looping* trace checks
@@ -194,15 +206,12 @@ class CompiledTrace:
     code being patched.
     """
 
-    __slots__ = ("entry", "lo", "hi", "length", "looping", "fn", "valid")
+    __slots__ = ("entry", "lo", "hi", "fn", "valid")
 
-    def __init__(self, entry: int, lo: int, hi: int, length: int,
-                 looping: bool) -> None:
+    def __init__(self, entry: int, lo: int, hi: int) -> None:
         self.entry = entry
         self.lo = lo
         self.hi = hi
-        self.length = length
-        self.looping = looping
         self.fn = None
         self.valid = True
 
@@ -215,9 +224,11 @@ class TraceRecorder:
 
     ``run_slice`` feeds it every retired instruction via
     :meth:`record`.  The recorder verifies control-flow continuity
-    (``ip`` must be the successor of the previous step) so a thread
-    switch or an unexpected transfer aborts the recording instead of
-    producing a stitched-together nonsense path.
+    (``ip`` must be the successor of the previous step).  A break —
+    another thread's instruction after a thread switch — ends the
+    path *before* that instruction, as a ``cap`` exiting to where the
+    recorded thread would have continued, instead of stitching two
+    threads into a nonsense path.
     """
 
     __slots__ = ("entry", "steps", "expected", "exit_target",
@@ -246,9 +257,11 @@ class TraceRecorder:
     def record(self, memory, ip: int, nip: int) -> Optional[str]:
         """Observe the instruction retired at ``ip`` (control moved to
         ``nip``).  Returns None to keep recording, ``"ok"`` when the
-        path is complete, ``"abort"`` on discontinuity."""
+        path is complete (a discontinuity completes it as a cap before
+        ``ip``), ``"abort"`` when ``ip`` does not decode."""
         if ip != self.expected:
-            return "abort"
+            self.exit_target = self.expected
+            return "ok"
         try:
             raw = memory.read_bytes(
                 ip, instruction_length(memory.read_u8(ip)))
@@ -851,23 +864,119 @@ def _generate_source(entry: int,
     return "\n".join(lines) + "\n"
 
 
-def compile_recorded(recorder: TraceRecorder, memory,
-                     events) -> Optional[CompiledTrace]:
-    """Compile a completed recording against ``memory``.
+class SharedTrace:
+    """One compiled variant in the process-wide trace table.
 
-    ``events`` supplies the interpreter's StepEvent singletons so
-    generated code returns the very same objects ``run_slice``
-    compares against.  Returns None when the path cannot be compiled.
+    ``path`` is every recorded PC.  It omits where control left the
+    last step: a variant side-exits on every direction but the
+    recorded one, so variants differing only there are
+    interchangeable.  ``raw`` holds the bytes of [lo, hi) the path
+    was recorded over.  A machine whose memory holds the same bytes
+    there would execute exactly the recorded instructions, so it may
+    bind ``make`` (the generated factory) to its own memory instead
+    of recording.
+    """
+
+    __slots__ = ("entry", "lo", "hi", "raw", "path", "make")
+
+    def __init__(self, entry: int, lo: int, hi: int, raw: bytes,
+                 path: Tuple[int, ...], make) -> None:
+        self.entry = entry
+        self.lo = lo
+        self.hi = hi
+        self.raw = raw
+        self.path = path
+        self.make = make
+
+    def words(self) -> Iterator[int]:
+        """The 4-byte words (address >> 2) the path's instructions
+        occupy."""
+        lo, raw = self.lo, self.raw
+        for addr in self.path:
+            last = addr + instruction_length(raw[addr - lo]) - 1
+            yield from range(addr >> 2, (last >> 2) + 1)
+
+    def bind(self, memory, code_words, events) -> CompiledTrace:
+        """A :class:`CompiledTrace` running this variant on ``memory``."""
+        trace = CompiledTrace(self.entry, self.lo, self.hi)
+        read, write, holder = memory.jit_accessors()
+        trace.fn = self.make(
+            trace, read, write, holder, code_words,
+            events.NORMAL, events.SYSCALL, events.SCHED,
+            events.HALT, MachineError)
+        return trace
+
+
+class _TraceTable:
+    """Every compiled variant in the process, keyed by entry PC.
+
+    Per entry, variants are kept in compile order, so the last one is
+    the newest.  At most :data:`_CODE_CACHE_MAX` variants are held;
+    overflow drops the oldest variant of the oldest entry.  Machines
+    may run on several threads (control-plane rollouts, worker
+    items), so mutations hold ``lock``; readers tolerate a concurrent
+    append or drop, which at worst misses a variant.
+    """
+
+    def __init__(self) -> None:
+        self.by_entry: Dict[int, List[SharedTrace]] = {}
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def find(self, entry: int, path: Tuple[int, ...],
+             raw: bytes) -> Optional[SharedTrace]:
+        for variant in self.by_entry.get(entry, ()):
+            if variant.path == path and variant.raw == raw:
+                return variant
+        return None
+
+    def add(self, variant: SharedTrace) -> None:
+        with self.lock:
+            if self.size >= _CODE_CACHE_MAX:
+                oldest = next(iter(self.by_entry))
+                variants = self.by_entry[oldest]
+                variants.pop(0)
+                if not variants:
+                    del self.by_entry[oldest]
+                self.size -= 1
+            self.by_entry.setdefault(variant.entry, []).append(variant)
+            self.size += 1
+
+    def match(self, entry: int, memory) -> Optional[SharedTrace]:
+        """Newest variant at ``entry`` whose bytes ``memory`` holds."""
+        for variant in reversed(self.by_entry.get(entry, ())):
+            try:
+                raw = memory.read_bytes(variant.lo, variant.hi - variant.lo)
+            except MachineError:
+                continue
+            if raw == variant.raw:
+                return variant
+        return None
+
+    def clear(self) -> None:
+        with self.lock:
+            self.by_entry.clear()
+            self.size = 0
+
+
+TRACE_TABLE = _TraceTable()
+
+
+def compile_recorded(recorder: TraceRecorder, memory, code_words,
+                     events) -> Optional[CompiledTrace]:
+    """Compile a completed recording and bind it to ``memory``.
+
+    ``code_words`` is the machine's decode-cache code-word set (the
+    generated stores consult it); ``events`` supplies the
+    interpreter's StepEvent singletons so generated code returns the
+    very same objects ``run_slice`` compares against.  Returns None
+    when the path cannot be compiled.
     """
     steps = recorder.steps
     if not steps:
         return None
-    kind = recorder.kind()
     lo = min(addr for addr, _, _ in steps)
     hi = max(addr + insn.length for addr, insn, _ in steps)
-    trace = CompiledTrace(entry=recorder.entry, lo=lo, hi=hi,
-                          length=len(steps), looping=kind == "loop")
-
     try:
         raw = memory.read_bytes(lo, hi - lo)
     except MachineError:
@@ -877,32 +986,36 @@ def compile_recorded(recorder: TraceRecorder, memory,
         # also be evicted by every write in between; decline instead.
         return None
     path = tuple(addr for addr, _, _ in steps)
-    key = (recorder.entry, path, raw)
-    code = _CODE_CACHE.get(key)
-    if code is None:
+    variant = TRACE_TABLE.find(recorder.entry, path, raw)
+    if variant is None:
         try:
-            source = _generate_source(recorder.entry, steps, kind,
+            source = _generate_source(recorder.entry, steps,
+                                      recorder.kind(),
                                       recorder.exit_target)
         except MachineError:
             return None
         code = compile(source, "<k86-trace-0x%08x>" % recorder.entry,
                        "exec")
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
-        _CODE_CACHE[key] = code
-
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)  # noqa: S102 - generated from decoded insns
-    read, write, holder = memory.jit_accessors()
-    cache = memory._decode_cache
-    code_words = cache.code_words if cache is not None else frozenset()
-    trace.fn = namespace["_make"](
-        trace, read, write, holder, code_words,
-        events.NORMAL, events.SYSCALL, events.SCHED,
-        events.HALT, MachineError)
-    return trace
+        namespace: Dict[str, object] = {}
+        exec(code, namespace)  # noqa: S102 - generated from decoded insns
+        variant = SharedTrace(recorder.entry, lo, hi, raw, path,
+                              namespace["_make"])
+        TRACE_TABLE.add(variant)
+    return variant.bind(memory, code_words, events)
 
 
-def clear_code_cache() -> None:
-    """Drop the shared generated-code objects (test isolation)."""
-    _CODE_CACHE.clear()
+def install_shared(entry: int, memory, code_words,
+                   events) -> Optional[CompiledTrace]:
+    """Bind the newest table variant at ``entry`` that ``memory``'s
+    bytes match, without recording; None when no variant matches.
+
+    The words of the variant's instructions join ``code_words`` —
+    this machine never decoded them — so an apply, undo or
+    self-modifying store over them still reaches ``invalidate_range``
+    and evicts the trace, exactly as if it had been recorded here.
+    """
+    variant = TRACE_TABLE.match(entry, memory)
+    if variant is None:
+        return None
+    code_words.update(variant.words())
+    return variant.bind(memory, code_words, events)

@@ -7,13 +7,19 @@ stop_machine, or plain self-modifying stores — must evict every
 overlapping trace before the new bytes can matter.
 """
 
+import sys
+import threading
 from collections import OrderedDict
+
+import pytest
 
 import repro.kernel.cpu as cpu
 from repro.core import KspliceCore, ksplice_create
 from repro.evaluation import corpus_by_id
+from repro.evaluation.engine import run_build_for
 from repro.evaluation.kernels import kernel_for_version
-from repro.kernel import boot_kernel, set_jit_enabled
+from repro.evaluation.stress import STRESS_OK, load_sustained_workload
+from repro.kernel import boot_kernel, jit, set_jit_enabled
 
 CVE = "CVE-2006-2451"
 
@@ -194,3 +200,196 @@ def test_op_cache_lru_stays_bounded_and_correct():
 
     machine = _boot(kernel)
     assert machine.run_user_program(_HOT_LOOP, name="ref") == exit_value
+
+
+class _CountingRecorder(jit.TraceRecorder):
+    """TraceRecorder that logs every head it is armed at, and every
+    recording a thread switch completed."""
+
+    __slots__ = ()
+    armed: list = []
+    switch_commits: list = []
+
+    def __init__(self, entry):
+        _CountingRecorder.armed.append(entry)
+        super().__init__(entry)
+
+    def record(self, memory, ip, nip):
+        switched = ip != self.expected
+        status = super().record(memory, ip, nip)
+        if switched:
+            _CountingRecorder.switch_commits.append((self.entry, status))
+        return status
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Count recordings with the JIT on; start from an empty shared
+    trace table so every trace in the test is recorded or installed
+    in the test."""
+    monkeypatch.setattr(cpu, "TraceRecorder", _CountingRecorder)
+    monkeypatch.setattr(_CountingRecorder, "armed", [])
+    monkeypatch.setattr(_CountingRecorder, "switch_commits", [])
+    jit.TRACE_TABLE.clear()
+    prev = set_jit_enabled(True)
+    try:
+        yield _CountingRecorder
+    finally:
+        set_jit_enabled(prev)
+        jit.TRACE_TABLE.clear()
+
+
+def _memory_digest(machine):
+    # trailing zeros stripped: the JIT fully materializes reserved
+    # areas it touches, lazy zero-fill reaches the same bytes
+    return tuple((segment.name, bytes(segment.data).rstrip(b"\0"))
+                 for segment in machine.memory._segments)
+
+
+def test_rewriting_a_blacklisted_head_lets_it_record_again(recorders):
+    kernel = kernel_for_version("2.6.16-deb3")
+    reference = _boot(kernel)
+    reference.run_user_program(_HOT_LOOP, name="hot")
+    head = recorders.armed[0]
+
+    jit.TRACE_TABLE.clear()
+    machine = _boot(kernel)
+    machine.load_user_program(_HOT_LOOP, name="hot")
+    cpu._cache_for(machine.memory).counters[head] = -(1 << 30)
+    recorders.armed.clear()
+    machine.run(max_instructions=20_000)
+    assert head not in recorders.armed
+
+    # same bytes back: the write alone must lift the back-off
+    machine.memory.write_bytes(head, machine.memory.read_bytes(head, 1))
+    machine.run(max_instructions=20_000)
+    assert head in recorders.armed
+
+
+def test_thread_switch_commits_recordings_and_never_rearms(recorders):
+    """Three stress threads at the default 50-instruction quantum: most
+    recordings outlive their thread's quantum.  Each is committed at
+    the switch instead of aborted, so no head is ever armed twice, and
+    the run stays architecturally identical to the interpreter."""
+    kernel = kernel_for_version("2.6.16-deb3")
+    runs = {}
+    for enabled in (False, True):
+        prev = set_jit_enabled(enabled)
+        try:
+            machine = _boot(kernel)
+            threads = load_sustained_workload(machine, threads=3,
+                                              rounds=40)
+            machine.run(max_instructions=2_000_000)
+        finally:
+            set_jit_enabled(prev)
+        runs[enabled] = (
+            [t.exit_value for t in threads],
+            machine.scheduler.total_instructions,
+            _memory_digest(machine),
+            machine.trace_stats(),
+            cpu._cache_for(machine.memory).traces)
+
+    interp, traced = runs[False], runs[True]
+    assert interp[0] == [STRESS_OK] * 3
+    assert traced[:3] == interp[:3]
+
+    stats, traces = traced[3], traced[4]
+    assert stats["traces_evicted"] == 0
+    assert len(recorders.armed) == len(set(recorders.armed)), (
+        "a head was armed again after its recording ended")
+    assert stats["traces_compiled"] == len(recorders.armed)
+    assert recorders.switch_commits, "no recording met a thread switch"
+    for entry, status in recorders.switch_commits:
+        assert status == "ok"
+        assert entry in traces
+
+
+def test_fresh_machine_installs_shared_trace_and_apply_evicts_only_its_own(
+        recorders):
+    spec = corpus_by_id(CVE)
+    kernel = kernel_for_version(spec.kernel_version)
+    build = run_build_for(kernel)
+    pack = ksplice_create(kernel.tree, kernel.patch_for(spec.cve_id))
+    hammer = _hammer_source(kernel)
+
+    def boot():
+        return boot_kernel(kernel.tree, build=build, quantum=50)
+
+    # Interpreter reference for B's whole life: warm, apply, rerun.
+    prev = set_jit_enabled(False)
+    try:
+        ref = boot()
+        ref_warm = ref.run_user_program(hammer, name="warm")
+        KspliceCore(ref).apply(pack)
+        ref_patched = ref.run_user_program(hammer, name="patched")
+        ref_insns = ref.scheduler.total_instructions
+    finally:
+        set_jit_enabled(prev)
+
+    a = boot()
+    assert a.run_user_program(hammer, name="warm") == ref_warm
+    assert recorders.armed, "A must record its hot paths"
+    a_traces = dict(cpu._cache_for(a.memory).traces)
+    assert a_traces
+
+    recorders.armed.clear()
+    b = boot()
+    assert b.run_user_program(hammer, name="warm") == ref_warm
+    assert recorders.armed == [], "B must install, not record"
+    b_stats = b.trace_stats()
+    assert b_stats["traces_compiled"] > 0
+    assert b_stats["trace_hits"] > 0
+
+    KspliceCore(b).apply(pack)
+    assert b.trace_stats()["traces_evicted"] > 0
+    assert cpu._cache_for(a.memory).traces == a_traces
+    assert all(trace.valid for trace in a_traces.values())
+
+    assert b.run_user_program(hammer, name="patched") == ref_patched
+    assert b.scheduler.total_instructions == ref_insns
+    # A still runs the unpatched kernel through its own traces
+    assert a.run_user_program(hammer, name="again") == ref_warm
+
+    # C's sys_prctl bytes differ (patched before it ever ran), so
+    # A's variants over them must not install there.
+    c = boot()
+    KspliceCore(c).apply(pack)
+    differing = 0
+    for entry in a_traces:
+        variant = jit.TRACE_TABLE.match(entry, a.memory)
+        if c.memory.read_bytes(variant.lo,
+                               variant.hi - variant.lo) != variant.raw:
+            differing += 1
+            assert jit.TRACE_TABLE.match(entry, c.memory) is not variant
+    assert differing, "no variant of A's covers the patched bytes"
+    assert c.run_user_program(hammer, name="patched") == ref_patched
+
+
+def test_trace_table_stays_consistent_under_concurrent_adds(monkeypatch):
+    """Control-plane rollouts run machines on several threads, so the
+    shared table's capped add must not lose or double-drop variants."""
+    monkeypatch.setattr(jit, "_CODE_CACHE_MAX", 16)
+    table = jit._TraceTable()
+    workers, per_worker = 8, 1000
+
+    def add_many(base):
+        for i in range(per_worker):
+            entry = base + (i % 5)
+            table.add(jit.SharedTrace(entry, entry, entry + 1, b"\0",
+                                      (entry, i), None))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=add_many, args=(k * 16,))
+                   for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    held = sum(len(variants) for variants in table.by_entry.values())
+    assert table.size == held == 16
+    assert all(table.by_entry.values())
