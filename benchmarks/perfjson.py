@@ -32,22 +32,34 @@ def host_fingerprint():
     }
 
 
+class CorruptResultsError(ValueError):
+    """The results file exists but is not a JSON object.  Recording
+    over it would drop every other bench's section, so :func:`record`
+    leaves it untouched and raises this instead."""
+
+
 def record(section, payload, path=None):
     """Merge ``{section: payload}`` into the results file atomically.
 
     ``payload`` gets ``recorded_at`` (epoch seconds) and the host
     fingerprint stamped in; existing sections written by other benches
-    are preserved.
+    are preserved.  A missing file starts empty; an unreadable one
+    raises :class:`CorruptResultsError`.
     """
     path = path or DEFAULT_PATH
-    results = {}
     try:
         with open(path) as handle:
             results = json.load(handle)
-    except (OSError, ValueError):
+    except FileNotFoundError:
         results = {}
+    except ValueError as exc:
+        raise CorruptResultsError(
+            "%s is not valid JSON (%s); fix or remove it" % (path, exc)) \
+            from exc
     if not isinstance(results, dict):
-        results = {}
+        raise CorruptResultsError(
+            "%s holds a JSON %s, not an object; fix or remove it"
+            % (path, type(results).__name__))
     entry = dict(payload)
     entry["recorded_at"] = round(time.time(), 3)
     entry["host"] = host_fingerprint()

@@ -25,34 +25,39 @@ be *proven* rather than merely asserted.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.absint.interp import (
     FunctionSummary,
     summarize_section_function,
 )
+from repro.analysis.callgraph import code_index
+from repro.analysis.codefacts import SUMMARY_CACHE, memoized, section_digest
 from repro.analysis.model import (
     EVIDENCE_ABI,
     VERDICT_REJECT,
     Evidence,
     Finding,
 )
-from repro.arch.disassembler import iter_instructions
-from repro.arch.isa import REG_SP
-from repro.errors import DisassemblyError
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 
 
 def function_summary(obj: Optional[ObjectFile],
                      fn: str) -> Optional[FunctionSummary]:
-    """Summary of ``fn``'s function-sections text in ``obj``."""
+    """Summary of ``fn``'s function-sections text in ``obj``.
+
+    Memoized by the section's content; each caller gets its own copy.
+    """
     if obj is None:
         return None
     section = obj.sections.get(".text.%s" % fn)
     if section is None:
         return None
-    return summarize_section_function(section, fn)
+    summary = memoized(SUMMARY_CACHE, (fn, section_digest(section)),
+                       partial(summarize_section_function, section, fn))
+    return summary.copy()
 
 
 def caller_arg_counts(build: Optional[BuildResult],
@@ -64,51 +69,11 @@ def caller_arg_counts(build: Optional[BuildResult],
     Keys are ``unit:function`` of the calling site's host; when a
     function is called from several sites the *minimum* count is kept
     (the weakest caller is the one a wider replacement would break).
+    The counts come from the build's code index, walked once per build.
     """
     if build is None:
         return {}
-    from repro.analysis.callgraph import _function_extents
-
-    counts: Dict[str, int] = {}
-    for unit in sorted(build.objects):
-        obj = build.objects[unit]
-        for section in obj.text_sections():
-            extents = _function_extents(obj, section)
-            starts = {name: start for start, _end, name in extents}
-            if fn not in starts and not any(
-                    r.symbol == fn for r in section.relocations):
-                continue
-            try:
-                instrs = list(iter_instructions(section.data))
-            except DisassemblyError:
-                continue
-            reloc_syms = {r.offset: r.symbol
-                          for r in section.relocations}
-            for index, instr in enumerate(instrs):
-                if instr.mnemonic != "call":
-                    continue
-                target = reloc_syms.get(instr.offset + 1)
-                if target is None:
-                    branch = instr.branch_target_offset()
-                    target = next(
-                        (name for start, end, name in extents
-                         if branch is not None
-                         and start <= branch < end
-                         and branch == start), None)
-                if target != fn:
-                    continue
-                pushed = 0
-                if index + 1 < len(instrs):
-                    after = instrs[index + 1]
-                    ops = after.instruction.operands
-                    if after.mnemonic == "addi" and ops[0] == REG_SP \
-                            and 0 < ops[1] < 0x80000000:
-                        pushed = ops[1] // 4
-                host = next((name for start, end, name in extents
-                             if start <= instr.offset < end), "?")
-                key = "%s:%s" % (unit, host)
-                counts[key] = min(counts.get(key, pushed), pushed)
-    return counts
+    return dict(code_index(build).arg_counts.get(fn, {}))
 
 
 def analyze_abi(unit: str, fn: str,

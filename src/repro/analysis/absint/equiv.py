@@ -16,16 +16,19 @@ should.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.codefacts import STREAM_CACHE, memoized, section_digest
 from repro.analysis.model import EVIDENCE_EQUIVALENCE, Evidence
 from repro.arch.disassembler import DecodedInstruction, iter_instructions
 from repro.arch.isa import OperandKind
 from repro.errors import DisassemblyError
 from repro.objfile import ObjectFile, Section
 
-#: a normalized instruction: (canonical mnemonic, operand view)
-NormInstr = Tuple[str, Tuple[str, ...]]
+#: a normalized instruction: the canonical mnemonic and the operand
+#: views, NUL-separated (no mnemonic or symbol name contains a NUL)
+NormInstr = str
 
 
 def _normalize(instr: DecodedInstruction,
@@ -59,18 +62,31 @@ def _normalize(instr: DecodedInstruction,
         else:
             operands.append("%d" % value)
         field_offset += sizes[kind]
-    return (instr.canonical, tuple(operands))
+    return "\0".join([instr.canonical] + operands)
 
 
 def _normalized_stream(
-        section: Optional[Section]) -> Optional[List[NormInstr]]:
+        section: Optional[Section]) -> Optional[Tuple[NormInstr, ...]]:
+    """The section's normalized stream, None when it does not decode.
+
+    Memoized by content as one newline-joined string (a fraction of the
+    memory of per-instruction objects); every caller gets its own
+    tuple."""
     if section is None:
         return None
+    joined = memoized(STREAM_CACHE, (section_digest(section),),
+                      partial(_normalize_section, section))
+    if joined is None:
+        return None
+    return tuple(joined.split("\n")) if joined else ()
+
+
+def _normalize_section(section: Section) -> Optional[str]:
     reloc_symbols = {r.offset: r.symbol for r in section.relocations}
     try:
-        return [_normalize(instr, reloc_symbols)
-                for instr in iter_instructions(section.data)
-                if not instr.is_nop]
+        return "\n".join(_normalize(instr, reloc_symbols)
+                         for instr in iter_instructions(section.data)
+                         if not instr.is_nop)
     except DisassemblyError:
         return None
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.absint.interp import summarize_section_function
+from repro.analysis.absint.abi import function_summary
 from repro.analysis.datalayout import SHADOW_API
 from repro.analysis.model import (
     EVIDENCE_ESCAPE,
@@ -91,10 +91,9 @@ def analyze_escapes(unit: str,
     summaries = []
     if post_obj is not None:
         for fn in _post_function_names(post_obj):
-            section = post_obj.sections.get(".text.%s" % fn)
-            if section is not None:
-                summaries.append((fn, summarize_section_function(
-                    section, fn)))
+            summary = function_summary(post_obj, fn)
+            if summary is not None:
+                summaries.append((fn, summary))
 
     for symbol in sorted(layout_symbols):
         sites: List[str] = []

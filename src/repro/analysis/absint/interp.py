@@ -24,7 +24,7 @@ suppress a downgrade-to-safe, never invent one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.absint.domain import (
@@ -139,6 +139,14 @@ class FunctionSummary:
     @property
     def frame_preserved(self) -> bool:
         return bool(self.rets) and all(r.fp_preserved for r in self.rets)
+
+    def copy(self) -> "FunctionSummary":
+        """An independent copy (the events themselves are frozen)."""
+        return replace(self, arg_slots_read=set(self.arg_slots_read),
+                       rets=list(self.rets), calls=list(self.calls),
+                       sleep_sites=list(self.sleep_sites),
+                       accesses=list(self.accesses),
+                       escapes=list(self.escapes))
 
     def escape_symbols(self) -> Set[str]:
         return {e.symbol for e in self.escapes}

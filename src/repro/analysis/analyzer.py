@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.absint.engine import run_absint
-from repro.analysis.callgraph import build_call_graph, format_node
+from repro.analysis.callgraph import code_index, format_node
 from repro.analysis.datalayout import (
     analyze_data_layout,
     analyze_init_only_writers,
@@ -67,7 +67,7 @@ def analyze_update(pack: "UpdatePack",
         if diff.new_functions:
             report.new_functions[unit] = sorted(diff.new_functions)
 
-    graph = build_call_graph(run_build) if run_build is not None else None
+    graph = code_index(run_build).graph if run_build is not None else None
     if graph is not None:
         patched_nodes: List[Tuple[str, str]] = []
         for unit, fns in sorted(report.patched_functions.items()):

@@ -21,14 +21,24 @@ functions whose compiled text contains a ``sched`` or ``hlt``
 instruction (the MiniC ``__sched()``/``__hlt`` builtins lower to
 these); anything that can reach one by direct calls can sit on a
 sleeping thread's stack across stop_machine retries.
+
+The run build is immutable, so its code is walked once:
+:func:`code_index` decodes every text section a single time, builds
+the graph and the per-call-site argument counts the ABI proof reads
+(:func:`repro.analysis.absint.abi.caller_arg_counts`), and keeps the
+resulting :class:`CodeIndex` on the build itself.  The index lives and
+dies with that build (a run-build cache eviction or ``clear_caches()``
+drops both) and is never pickled with it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.arch.disassembler import iter_instructions
+from repro.arch.disassembler import DecodedInstruction, iter_instructions
+from repro.arch.isa import REG_SP
 from repro.errors import DisassemblyError
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile, Section, SectionKind, SymbolKind
@@ -72,7 +82,7 @@ class CallGraph:
 
     def node_for(self, unit: str, name: str) -> Optional[Node]:
         node = (unit, name)
-        return node if node in set(self.definitions.get(name, [])) else None
+        return node if node in self.definitions.get(name, ()) else None
 
     def predecessors(self, node: Node) -> Set[Node]:
         """Callers plus inline hosts — everything whose execution can
@@ -149,8 +159,23 @@ class CallGraph:
         return sorted(refs)
 
 
+@dataclass
+class CodeIndex:
+    """The run build's code facts, from one decode pass per text
+    section.  Shared by every analysis against that build, so
+    consumers treat it as read-only."""
+
+    graph: CallGraph
+    #: callee name -> ``unit:host`` -> fewest argument words any call
+    #: from ``host`` pushes (the words it pops straight after the call)
+    arg_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+
+Extent = Tuple[int, int, str]
+
+
 def _function_extents(obj: ObjectFile,
-                      section: Section) -> List[Tuple[int, int, str]]:
+                      section: Section) -> List[Extent]:
     """``(start, end, name)`` per function symbol, covering the whole
     section: a function's extent runs to the next function's start, so
     inter-function alignment padding is attributed to its predecessor
@@ -159,7 +184,7 @@ def _function_extents(obj: ObjectFile,
         ((sym.value, sym.name) for sym in obj.symbols_in_section(section.name)
          if sym.kind is SymbolKind.FUNC),
         key=lambda item: (item[0], item[1]))
-    extents: List[Tuple[int, int, str]] = []
+    extents: List[Extent] = []
     for index, (start, name) in enumerate(funcs):
         end = funcs[index + 1][0] if index + 1 < len(funcs) \
             else section.size
@@ -167,20 +192,50 @@ def _function_extents(obj: ObjectFile,
     return extents
 
 
-def _containing(extents: List[Tuple[int, int, str]],
-                offset: int) -> Optional[str]:
-    for start, end, name in extents:
-        if start <= offset < end:
-            return name
-    return None
+class _Extents:
+    """One section's function extents, searchable by offset."""
+
+    def __init__(self, extents: List[Extent]) -> None:
+        self.extents = extents
+        self.starts = [start for start, _end, _name in extents]
+
+    def containing(self, offset: int) -> Optional[Extent]:
+        """The extent holding ``offset``.  Extents tile the section, so
+        the last one starting at or before ``offset`` is the only
+        candidate (functions sharing a start leave all but the last
+        empty)."""
+        index = bisect_right(self.starts, offset) - 1
+        if index < 0:
+            return None
+        extent = self.extents[index]
+        return extent if offset < extent[1] else None
+
+    def name_at(self, offset: int) -> Optional[str]:
+        extent = self.containing(offset)
+        return extent[2] if extent is not None else None
+
+
+def code_index(build: BuildResult) -> CodeIndex:
+    """``build``'s index, built on first use and kept on the build."""
+    index: Optional[CodeIndex] = build.code_index
+    if index is None:
+        index = build_code_index(build)
+        build.code_index = index
+    return index
 
 
 def build_call_graph(build: BuildResult) -> CallGraph:
     """Construct the graph from every object of the run kernel's build."""
-    graph = CallGraph()
+    return build_code_index(build).graph
+
+
+def build_code_index(build: BuildResult) -> CodeIndex:
+    """Walk every object of the run kernel's build once."""
+    index = CodeIndex(graph=CallGraph())
+    graph = index.graph
     local_funcs: Dict[str, Set[str]] = {}
     global_funcs: Dict[str, List[Node]] = {}
-    extents: Dict[Tuple[str, str], List[Tuple[int, int, str]]] = {}
+    extents: Dict[Tuple[str, str], _Extents] = {}
 
     for unit in sorted(build.objects):
         obj = build.objects[unit]
@@ -193,9 +248,9 @@ def build_call_graph(build: BuildResult) -> CallGraph:
             if not sym.is_local:
                 global_funcs.setdefault(sym.name, []).append((unit, sym.name))
         for section in obj.text_sections():
-            section_extents = _function_extents(obj, section)
+            section_extents = _Extents(_function_extents(obj, section))
             extents[(unit, section.name)] = section_extents
-            _scan_text(graph, unit, section, section_extents)
+            _scan_text(index, unit, section, section_extents)
 
     def resolve(unit: str, name: str) -> Optional[Node]:
         if name in local_funcs.get(unit, ()):
@@ -212,8 +267,8 @@ def build_call_graph(build: BuildResult) -> CallGraph:
                 if target is None:
                     continue
                 if section.kind is SectionKind.TEXT:
-                    caller_name = _containing(
-                        extents.get((unit, section_name), []), reloc.offset)
+                    caller_name = extents[(unit, section_name)].name_at(
+                        reloc.offset)
                     if caller_name is None:
                         continue
                     caller = (unit, caller_name)
@@ -234,51 +289,82 @@ def build_call_graph(build: BuildResult) -> CallGraph:
             for caller, _count in report.inlined[callee]:
                 graph.inline_hosts.setdefault((unit, callee), set()).add(
                     (unit, caller))
-    return graph
+    return index
 
 
-def _scan_text(graph: CallGraph, unit: str, section: Section,
-               section_extents: List[Tuple[int, int, str]]) -> None:
-    """One decode pass per text section: sleep points, plus the call
-    edges the relocation walk cannot see — a merged build resolves
-    same-unit calls at assembly time, so the only trace of those edges
-    is the fixed displacement inside the ``call`` instruction."""
+def _scan_text(index: CodeIndex, unit: str, section: Section,
+               extents: _Extents) -> None:
+    """One decode pass per text section: sleep points, the call edges
+    the relocation walk cannot see — a merged build resolves same-unit
+    calls at assembly time, so the only trace of those edges is the
+    fixed displacement inside the ``call`` instruction — and the
+    argument words each call site pushes."""
+    instrs: List[DecodedInstruction] = []
+    complete = True
     try:
         for instr in iter_instructions(section.data):
-            if instr.mnemonic in SLEEP_MNEMONICS:
-                name = _containing(section_extents, instr.offset)
-                if name is not None:
-                    graph.sleep_points.add((unit, name))
-                    graph.sleep_sites.setdefault(
-                        (unit, name), set()).add(instr.offset)
-                continue
-            if instr.mnemonic != "call":
-                continue
-            field = instr.instruction.spec.pc_relative_operand_offset
-            if field is None or \
-                    section.has_relocation_at(instr.offset + field):
-                continue  # relocated call: the relocation pass covers it
-            target_offset = instr.offset + instr.length + \
-                instr.instruction.operands[0]
-            caller = _containing(section_extents, instr.offset)
-            callee = _containing(section_extents, target_offset)
-            if caller is None or callee is None or caller == callee:
-                continue
-            graph.calls.setdefault((unit, caller), set()).add((unit, callee))
-            graph.callers.setdefault((unit, callee), set()).add(
-                (unit, caller))
-            graph.call_sites.setdefault(
-                ((unit, caller), (unit, callee)), set()).add(instr.offset)
+            instrs.append(instr)
     except DisassemblyError:
-        # Undecodable text (hand-written constants in code): treat the
-        # rest of the section as opaque rather than failing the analysis.
-        return
+        # Undecodable text (hand-written constants in code): the graph
+        # keeps what decoded and treats the rest of the section as
+        # opaque; argument counts need the whole section.
+        complete = False
+    graph = index.graph
+    reloc_symbols = {reloc.offset: reloc.symbol
+                     for reloc in section.relocations}
+    for position, instr in enumerate(instrs):
+        if instr.mnemonic in SLEEP_MNEMONICS:
+            name = extents.name_at(instr.offset)
+            if name is not None:
+                graph.sleep_points.add((unit, name))
+                graph.sleep_sites.setdefault(
+                    (unit, name), set()).add(instr.offset)
+            continue
+        if instr.mnemonic != "call":
+            continue
+        if complete:
+            following = instrs[position + 1] \
+                if position + 1 < len(instrs) else None
+            _count_pushed_args(index, unit, instr, following,
+                               reloc_symbols, extents)
+        field = instr.instruction.spec.pc_relative_operand_offset
+        if field is None or instr.offset + field in reloc_symbols:
+            continue  # relocated call: the relocation pass covers it
+        target_offset = instr.offset + instr.length + \
+            instr.instruction.operands[0]
+        caller = extents.name_at(instr.offset)
+        callee = extents.name_at(target_offset)
+        if caller is None or callee is None or caller == callee:
+            continue
+        graph.calls.setdefault((unit, caller), set()).add((unit, callee))
+        graph.callers.setdefault((unit, callee), set()).add(
+            (unit, caller))
+        graph.call_sites.setdefault(
+            ((unit, caller), (unit, callee)), set()).add(instr.offset)
 
 
-def text_sleeps(section_data: bytes) -> bool:
-    """Does this (function-sections) text contain a sleep instruction?"""
-    try:
-        return any(instr.mnemonic in SLEEP_MNEMONICS
-                   for instr in iter_instructions(section_data))
-    except DisassemblyError:
-        return False
+def _count_pushed_args(index: CodeIndex, unit: str,
+                       call: DecodedInstruction,
+                       following: Optional[DecodedInstruction],
+                       reloc_symbols: Dict[int, str],
+                       extents: _Extents) -> None:
+    """Record how many argument words ``call`` pushed: the words its
+    caller pops (``addi sp, +4n``) straight after it."""
+    target = reloc_symbols.get(call.offset + 1)
+    if target is None:
+        branch = call.branch_target_offset()
+        extent = extents.containing(branch) if branch is not None \
+            else None
+        if extent is None or extent[0] != branch:
+            return
+        target = extent[2]
+    pushed = 0
+    if following is not None:
+        ops = following.instruction.operands
+        if following.mnemonic == "addi" and ops[0] == REG_SP \
+                and 0 < ops[1] < 0x80000000:
+            pushed = ops[1] // 4
+    host = extents.name_at(call.offset)
+    key = "%s:%s" % (unit, host if host is not None else "?")
+    counts = index.arg_counts.setdefault(target, {})
+    counts[key] = min(counts.get(key, pushed), pushed)

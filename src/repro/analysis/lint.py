@@ -19,8 +19,10 @@ Anything flagged here aborts at apply time; the verdict is ``reject``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
+from repro.analysis.codefacts import DECODES_CACHE, bytes_digest, memoized
 from repro.analysis.model import VERDICT_REJECT, VERDICT_SAFE, Finding
 from repro.arch.disassembler import iter_instructions
 from repro.arch.info import DEFAULT_ARCH
@@ -154,6 +156,11 @@ def _lint_unit(uu: "UnitUpdate", update_exports: Set[str],
 
 
 def _decodes(data: bytes) -> bool:
+    return memoized(DECODES_CACHE, (bytes_digest(data),),
+                    partial(_walk_decodes, data))
+
+
+def _walk_decodes(data: bytes) -> bool:
     try:
         for _instr in iter_instructions(data):
             pass

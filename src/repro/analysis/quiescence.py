@@ -20,14 +20,32 @@ patched functions' own pre text for sleep instructions.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis.callgraph import CallGraph, text_sleeps
+from repro.analysis.callgraph import SLEEP_MNEMONICS, CallGraph
+from repro.analysis.codefacts import SLEEPS_CACHE, bytes_digest, memoized
 from repro.analysis.model import VERDICT_QUIESCE_RISK, Finding
+from repro.arch.disassembler import iter_instructions
+from repro.errors import DisassemblyError
 from repro.objfile import ObjectFile
 
 if TYPE_CHECKING:
     from repro.core.objdiff import UnitDiff
+
+
+def text_sleeps(section_data: bytes) -> bool:
+    """Does this (function-sections) text contain a sleep instruction?"""
+    return memoized(SLEEPS_CACHE, (bytes_digest(section_data),),
+                    partial(_scan_sleeps, section_data))
+
+
+def _scan_sleeps(section_data: bytes) -> bool:
+    try:
+        return any(instr.mnemonic in SLEEP_MNEMONICS
+                   for instr in iter_instructions(section_data))
+    except DisassemblyError:
+        return False
 
 
 def analyze_quiescence(graph: Optional[CallGraph],

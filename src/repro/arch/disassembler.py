@@ -4,12 +4,21 @@ The run-pre matcher depends on exactly the two architecture facts the paper
 names in §4.3: instruction lengths, and which instructions take pc-relative
 offsets.  Both come from the instruction table; this module packages them
 as a stream decoder.
+
+Every decoder in the process goes through one table: raw encoding ->
+frozen :class:`~repro.arch.isa.Instruction`.  An encoding decodes the
+same way wherever it sits (rel operands are stored as displacements,
+not targets), so an entry never goes stale; a kernel's code is a few
+hundred distinct encodings repeated many thousands of times.  Misses,
+and every malformed encoding, go through
+:func:`repro.arch.isa.decode_instruction`, so errors read exactly the
+same warm as cold.  The table is bounded and simply emptied when full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.arch import isa
 from repro.arch.isa import Instruction, OperandKind
@@ -50,10 +59,37 @@ class DecodedInstruction:
         return self.offset + self.length + self.instruction.operands[0]
 
 
-def disassemble_one(code: bytes, offset: int = 0) -> DecodedInstruction:
-    """Decode a single instruction at ``offset``."""
+#: raw encoding -> decoded instruction, shared process-wide
+DECODE_TABLE: Dict[bytes, Instruction] = {}
+#: entries held before the table is emptied (distinct encodings, not
+#: instructions decoded: whole corpora stay well below it)
+DECODE_TABLE_MAX = 1 << 14
+
+
+def _lookup(code: bytes, offset: int) -> Tuple[Instruction, bytes]:
+    if offset < len(code):
+        length = isa.LENGTH_BY_OPCODE.get(code[offset])
+        if length is not None:
+            raw = bytes(code[offset:offset + length])
+            instruction = DECODE_TABLE.get(raw)
+            if instruction is not None:
+                return instruction, raw
+    # a miss, or bytes that do not decode: raises the canonical error
     instruction = isa.decode_instruction(code, offset)
     raw = bytes(code[offset:offset + instruction.length])
+    if len(DECODE_TABLE) >= DECODE_TABLE_MAX:
+        DECODE_TABLE.clear()
+    DECODE_TABLE[raw] = instruction
+    return instruction, raw
+
+
+def clear_decode_table() -> None:
+    DECODE_TABLE.clear()
+
+
+def disassemble_one(code: bytes, offset: int = 0) -> DecodedInstruction:
+    """Decode a single instruction at ``offset``."""
+    instruction, raw = _lookup(code, offset)
     return DecodedInstruction(offset=offset, instruction=instruction, raw=raw)
 
 

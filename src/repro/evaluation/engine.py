@@ -44,6 +44,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, \
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.disassembler import clear_decode_table
 from repro.compiler import CompilerOptions
 from repro.compiler.cache import (
     CacheStats,
@@ -88,12 +89,15 @@ def run_build_for(kernel: GeneratedKernel,
 def clear_caches() -> None:
     """Reset every evaluation cache (test isolation).
 
-    Covers the parse, compile, and run-build content caches plus the
-    generated-kernel memo, so a test that patches corpus data or
-    compiler behaviour observes a cold world.
+    Covers every registered content cache (parse, compile, run-build
+    — and with it each build's code index — and the analyzer's
+    per-section memos), the generated-kernel memo and the k86 decode
+    table, so a test that patches corpus data or compiler behaviour
+    observes a cold world.
     """
     _clear_layer_caches()
     kernel_for_version.cache_clear()
+    clear_decode_table()
 
 
 def cache_stats() -> Dict[str, CacheStats]:

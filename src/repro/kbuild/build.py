@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.compiler import (
     CompilerOptions,
@@ -25,6 +25,16 @@ class BuildResult:
     options: CompilerOptions
     objects: Dict[str, ObjectFile] = field(default_factory=dict)
     inline_reports: Dict[str, InlineReport] = field(default_factory=dict)
+    #: the analyzer's walk of this build's code
+    #: (:func:`repro.analysis.callgraph.code_index`), made on first
+    #: use; derived in-process state, so never pickled or compared
+    code_index: Optional[Any] = field(default=None, init=False,
+                                      repr=False, compare=False)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("code_index", None)
+        return state
 
     def object_for(self, unit_path: str) -> ObjectFile:
         try:

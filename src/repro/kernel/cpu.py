@@ -20,11 +20,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.arch.disassembler import disassemble_one
 from repro.arch.isa import (
     MAX_INSTRUCTION_LENGTH,
     Instruction,
     Opcode,
-    decode_instruction,
     instruction_length,
 )
 from repro.errors import DisassemblyError, MachineError
@@ -600,7 +600,7 @@ def _decode_at(state: CPUState, memory: Memory,
     op = _OP_CACHE.get(raw)
     if op is None:
         try:
-            insn = decode_instruction(raw)
+            insn = disassemble_one(raw).instruction
         except DisassemblyError as exc:
             raise MachineError("illegal instruction at 0x%08x: %s"
                                % (state.ip, exc)) from None

@@ -62,10 +62,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.arch.disassembler import disassemble_one
 from repro.arch.isa import (
     Instruction,
     Opcode,
-    decode_instruction,
     instruction_length,
 )
 from repro.errors import DisassemblyError, MachineError
@@ -265,7 +265,7 @@ class TraceRecorder:
         try:
             raw = memory.read_bytes(
                 ip, instruction_length(memory.read_u8(ip)))
-            insn = decode_instruction(raw)
+            insn = disassemble_one(raw).instruction
         except (MachineError, DisassemblyError):
             return "abort"
         if self.steps and (max(self.hi, ip + insn.length)
