@@ -53,7 +53,7 @@ def test_every_update_is_reversible(benchmark):
     the original function text is once again executed" — verified for
     all 56 no-new-code updates (Table-1 entries intentionally leave
     migrated data behind, so their probes cannot revert)."""
-    from repro.evaluation.harness import evaluate_corpus
+    from repro.evaluation import evaluate_corpus
 
     report = benchmark.pedantic(
         lambda: evaluate_corpus(run_stress=False, verify_undo=True),

@@ -7,7 +7,7 @@ every table/figure benchmark.
 
 import pytest
 
-from repro.evaluation.harness import EvaluationReport, evaluate_corpus
+from repro.evaluation import EvaluationReport, evaluate_corpus
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,6 @@ from repro.analysis.absint.domain import (
     arg_slot_index,
     const,
     dataptr,
-    entry_value,
     join_states,
     signed32,
     stackaddr,
@@ -147,12 +146,6 @@ class FunctionSummary:
                        sleep_sites=list(self.sleep_sites),
                        accesses=list(self.accesses),
                        escapes=list(self.escapes))
-
-    def escape_symbols(self) -> Set[str]:
-        return {e.symbol for e in self.escapes}
-
-    def accessed_symbols(self) -> Set[str]:
-        return {a.symbol for a in self.accesses}
 
 
 def _operand_field_offsets(
@@ -446,8 +439,3 @@ def summarize_section_function(
     return summarize_function(
         name, obj_section.data, _relocation_map(obj_section),
         start=start, end=end, resolve_callee=resolve_callee)
-
-
-def fresh_state() -> MachineState:
-    """Entry state (exposed for tests)."""
-    return MachineState(regs=tuple(entry_value(i) for i in range(8)))

@@ -75,7 +75,6 @@ from typing import Dict, Optional
 from repro import __version__
 from repro.compiler import CompilerOptions
 from repro.core import KspliceCore, UpdatePack, ksplice_create
-from repro.core.create import CreateReport
 from repro.errors import ReproError
 from repro.kbuild import SourceTree
 from repro.kernel import boot_kernel
@@ -325,7 +324,7 @@ def _analyze_all(args: argparse.Namespace, provider) -> int:
     generated corpora."""
     import json
 
-    from repro.evaluation.harness import evaluate_corpus
+    from repro.evaluation import evaluate_corpus
 
     summary = evaluate_corpus(provider.specs(), run_stress=False,
                               jobs=getattr(args, "jobs", 1))
@@ -379,7 +378,7 @@ def _analyze_all(args: argparse.Namespace, provider) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.evaluation.harness import evaluate_corpus
+    from repro.evaluation import evaluate_corpus
 
     provider, error = _load_provider(args)
     if provider is None:

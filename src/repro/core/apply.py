@@ -443,10 +443,6 @@ class KspliceCore:
             if module.loaded:
                 self.machine.loader.unload(module)
 
-    def replaced_function_names(self) -> List[str]:
-        return [key[1] for key, stack in self._replaced_stacks.items()
-                if stack]
-
     def applied_ids(self) -> List[str]:
         """Update ids in application order (oldest first).
 

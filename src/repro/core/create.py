@@ -46,9 +46,6 @@ class CreateReport:
     #: the static safety analyzer's combined report (``analyze`` stage)
     analysis: Optional[AnalysisReport] = None
 
-    def total_changed_functions(self) -> int:
-        return sum(len(d.changed_functions) for d in self.unit_diffs.values())
-
 
 def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
                    options: Optional[CompilerOptions] = None,

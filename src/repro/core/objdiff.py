@@ -80,9 +80,6 @@ class UnitDiff:
     def has_hooks(self) -> bool:
         return bool(self.hook_sections)
 
-    def replaced_section_names(self) -> List[str]:
-        return [".text.%s" % name for name in self.changed_functions]
-
     def persistent_data_sections(self) -> List[str]:
         """Full names of the non-text sections whose initialization
         image the patch changes or removes (hook sections excluded)."""

@@ -45,12 +45,6 @@ class UpdatePack:
     #: patch statistics recorded at create time (for reporting)
     patch_lines: int = 0
 
-    def unit_update(self, unit: str) -> UnitUpdate:
-        for uu in self.units:
-            if uu.unit == unit:
-                return uu
-        raise KspliceError("pack %s has no unit %s" % (self.update_id, unit))
-
     def all_changed_functions(self) -> List[str]:
         out: List[str] = []
         for uu in self.units:

@@ -15,10 +15,10 @@ not with one machine's cores:
 * :mod:`~repro.distributed.protocol` — the wire vocabulary, its
   errors, record batching and address parsing;
 * :mod:`~repro.distributed.aio` — the one transport: an asyncio event
-  loop multiplexing thousands of peers, bounded per-peer send queues
+  loop multiplexing a process's peers, bounded per-peer send queues
   for backpressure, batch-sealed records, and :func:`open_session`,
   the HELLO/READY opener every client session goes through
-  (coordinator, remote fleet rollouts, simulated fleet members);
+  (the coordinator and remote fleet rollouts);
 * :mod:`~repro.distributed.worker` — the ``repro worker`` serve loop:
   evaluates items in executor threads (heartbeats are answered while
   an item runs), streams each ``CveResult`` as it finishes, and can
@@ -27,9 +27,7 @@ not with one machine's cores:
   lead items that warm the run-build cache, then per-CVE work-stealing
   for the tails, heartbeats, bounded retry, reconnects with
   exponential backoff and jitter, and local rescue of anything the
-  fleet cannot finish;
-* :mod:`~repro.distributed.fabric` — fleet-scale rollout dispatch:
-  update waves to 10k members on one event loop.
+  fleet cannot finish.
 
 Entry points: ``evaluate_corpus(workers=[...])`` /
 ``repro evaluate --workers`` on the coordinator side and

@@ -1,11 +1,8 @@
-"""The asyncio transport: one event loop, thousands of peers.
+"""The asyncio transport: every peer of a process on one event loop.
 
-v2 spent one OS thread per connection on both ends of the fabric —
-fine for four workers, a wall at fleet scale (10k members × ~8 MiB of
-stack + scheduler thrash).  v3 multiplexes every peer on one event
-loop through :class:`AsyncChannel`, which pairs a **reader task**
-(decodes records into a bounded receive queue) with a **writer task**
-(drains a bounded send queue through ``drain()``):
+:class:`AsyncChannel` pairs a **reader task** (decodes records into a
+bounded receive queue) with a **writer task** (drains a bounded send
+queue of encoded frames through ``drain()``):
 
 * the reader-task design makes ``recv()`` *cancellation-safe* — a
   heartbeat ``wait_for`` timeout never strands half a record, because
@@ -20,8 +17,8 @@ loop through :class:`AsyncChannel`, which pairs a **reader task**
 This is the fabric's only transport.  :func:`accept_channel` and
 :func:`connect_channel` run the v3 handshake; :func:`open_session`
 adds the session's HELLO/READY exchange on top, and is how every
-client — the evaluation coordinator, a remote fleet rollout, a
-simulated fleet member — opens a session.
+client — the evaluation coordinator and a remote fleet rollout —
+opens a session.
 """
 
 from __future__ import annotations
@@ -78,8 +75,7 @@ class AsyncChannel:
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
                  ciphers: Optional[CipherPair],
-                 max_frame: int = MAX_FRAME,
-                 send_queue: int = SEND_QUEUE_SIZE):
+                 max_frame: int = MAX_FRAME):
         self._reader = reader
         self._writer = writer
         self._ciphers = ciphers
@@ -88,11 +84,9 @@ class AsyncChannel:
         self._rx: "asyncio.Queue[Optional[Dict[str, Any]]]" = \
             asyncio.Queue(RECV_QUEUE_SIZE)
         self._tx: "asyncio.Queue[Optional[bytes]]" = \
-            asyncio.Queue(send_queue)
+            asyncio.Queue(SEND_QUEUE_SIZE)
         self._rx_error: Optional[BaseException] = None
         self._tx_error: Optional[BaseException] = None
-        self._hook = None
-        self._hook_end = None
         self._closed = False
         self._reader_task = self._loop.create_task(self._read_loop())
         self._writer_task = self._loop.create_task(self._write_loop())
@@ -138,19 +132,13 @@ class AsyncChannel:
                     messages = [wire.decode_frame(f) for f in frames]
                 except WireError as exc:
                     raise ProtocolError(str(exc))
-                if self._hook is not None:
-                    await self._hook(messages)
-                else:
-                    for message in messages:
-                        await self._rx.put(message)
+                for message in messages:
+                    await self._rx.put(message)
         except asyncio.CancelledError:
             raise
         except (ConnectionError, ProtocolError, OSError) as exc:
             self._rx_error = exc
-        if self._hook_end is not None:
-            self._hook_end(self._rx_error)
-        else:
-            await self._rx.put(None)
+        await self._rx.put(None)
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         """One message; ``None`` on clean EOF; raises the connection's
@@ -162,37 +150,6 @@ class AsyncChannel:
             return None
         return message
 
-    async def install_hook(self, on_messages, on_end) -> None:
-        """Divert incoming messages to an async callback (hot path).
-
-        ``on_messages(batch)`` is awaited by the reader task with the
-        full list of messages decoded from each record — no
-        receive-queue hop, no consumer-task wakeup, and an
-        ``await channel.send(...)`` inside the callback backpressures
-        the *peer* naturally (the reader stops reading while parked).
-        ``on_end(error_or_none)`` fires once at EOF or failure.  After
-        installation :meth:`recv` must not be used.  Install only while
-        the peer is quiescent (e.g. right after a request/response
-        exchange); anything already queued is replayed into the
-        callback first.
-        """
-        self._hook = on_messages
-        self._hook_end = on_end
-        replay = []
-        while True:
-            try:
-                queued = self._rx.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if queued is None:
-                if replay:
-                    await on_messages(replay)
-                on_end(self._rx_error)
-                return
-            replay.append(queued)
-        if replay:
-            await on_messages(replay)
-
     # -- writing ------------------------------------------------------------
 
     async def _write_loop(self) -> None:
@@ -201,13 +158,11 @@ class AsyncChannel:
                 item = await self._tx.get()
                 if item is None:
                     return
-                # Coalesce everything already queued into sealed
+                # Coalesce every frame already queued into sealed
                 # records — a pipelined burst of frames costs one
                 # keystream + MAC and one syscall per record, not one
-                # per frame.  A queue item is one frame (bytes) or a
-                # pre-encoded burst (list of frames).
-                pending = list(item) if isinstance(item, list) \
-                    else [item]
+                # per frame.
+                pending = [item]
                 done = False
                 while not done:
                     try:
@@ -216,8 +171,6 @@ class AsyncChannel:
                         break
                     if item is None:
                         done = True
-                    elif isinstance(item, list):
-                        pending.extend(item)
                     else:
                         pending.append(item)
                 frames, total = [], 0
@@ -266,39 +219,6 @@ class AsyncChannel:
                                   % self._tx_error)
         await self._tx.put(self._encode(message))
 
-    async def send_batch(self, messages) -> None:
-        """Queue a pipelined burst as one item (one writer wakeup).
-
-        The burst occupies a single send-queue slot, so callers should
-        keep bursts modest (a rollout's wave list, a result stream) —
-        backpressure granularity is the burst, not the frame.
-        """
-        if self._tx_error is not None:
-            raise ConnectionError("send on a dead channel: %s"
-                                  % self._tx_error)
-        frames = [self._encode(m) for m in messages]
-        if frames:
-            await self._tx.put(frames)
-
-    async def send_frames(self, frames) -> None:
-        """Queue already-encoded frames (broadcast hot path).
-
-        A dispatcher pushing the same update to 10k members encodes it
-        once with :func:`~repro.distributed.wire.encode_frame` and
-        fans the bytes out; each channel still seals them under its
-        own session keys.  Frames must individually fit ``max_frame``.
-        """
-        if self._tx_error is not None:
-            raise ConnectionError("send on a dead channel: %s"
-                                  % self._tx_error)
-        for frame in frames:
-            if len(frame) > self.max_frame:
-                raise ProtocolError(
-                    "frame of %d bytes exceeds the session max_frame "
-                    "(%d)" % (len(frame), self.max_frame))
-        if frames:
-            await self._tx.put(list(frames))
-
     def send_threadsafe(self, message: Dict[str, Any],
                         timeout: float = 60.0) -> None:
         """Send from a worker thread (blocking, backpressured)."""
@@ -333,7 +253,6 @@ async def accept_channel(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
                          secret: Optional[bytes],
                          max_frame: int = MAX_FRAME,
-                         send_queue: int = SEND_QUEUE_SIZE,
                          ) -> AsyncChannel:
     """Server side of the v3 handshake on the event loop.
 
@@ -362,15 +281,13 @@ async def accept_channel(reader: asyncio.StreamReader,
         raise AuthError(str(exc))
     except asyncio.IncompleteReadError:
         raise AuthError("peer closed during the handshake")
-    return AsyncChannel(reader, writer, handshake.ciphers(),
-                        max_frame=max_frame, send_queue=send_queue)
+    return AsyncChannel(reader, writer, handshake.ciphers(), max_frame)
 
 
 async def connect_channel(host: str, port: int,
                           secret: Optional[bytes],
                           max_frame: int = MAX_FRAME,
                           connect_timeout: float = 5.0,
-                          send_queue: int = SEND_QUEUE_SIZE,
                           ) -> AsyncChannel:
     """Connect + client side of the v3 handshake on the event loop."""
     loop = asyncio.get_running_loop()
@@ -416,8 +333,7 @@ async def connect_channel(host: str, port: int,
         writer.close()
         raise AuthError("handshake completed without authentication "
                         "despite a configured secret")
-    return AsyncChannel(reader, writer, ciphers,
-                        max_frame=max_frame, send_queue=send_queue)
+    return AsyncChannel(reader, writer, ciphers, max_frame)
 
 
 async def open_session(host: str, port: int, secret: Optional[bytes],
@@ -429,10 +345,9 @@ async def open_session(host: str, port: int, secret: Optional[bytes],
     """Connect, handshake, then open the session: HELLO, await READY.
 
     ``hello`` adds fields to the HELLO frame (a coordinator's disk-cache
-    config, a fleet member's id).  ``ready_timeout`` bounds the wait
-    for the peer's answer (``None`` waits for it or for EOF).  A peer
-    that answers with anything but READY — a worker refusing our
-    protocol version, a dispatcher turning away a duplicate member —
+    config).  ``ready_timeout`` bounds the wait for the peer's answer
+    (``None`` waits for it or for EOF).  A peer that answers with
+    anything but READY — a worker refusing our protocol version —
     raises :class:`ProtocolError` carrying the peer's reason.
     """
     channel = await connect_channel(host, port, secret,

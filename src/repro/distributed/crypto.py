@@ -11,8 +11,8 @@ Two key-agreement modes, chosen by whether a secret is configured:
 * **secret mode** — both sides prove the shared secret with the same
   domain-separated HMAC challenge/response as v2 (mutual: a client
   never sends work to an impostor worker), then derive session keys
-  from ``HMAC(secret, nonces)``.  Two HMACs per connection — cheap
-  enough for ten thousand fleet members handshaking in one rollout.
+  from ``HMAC(secret, nonces)``.  Two HMACs per connection, so a
+  secret-mode handshake costs far less than the DH exchange below.
 * **anonymous mode** (no secret on either side) — a classic
   finite-field Diffie-Hellman exchange over the RFC 3526 2048-bit MODP
   group.  Unauthenticated (the v2 trust model for open workers is
@@ -172,9 +172,8 @@ class FrameCipher:
         self._seq = 0
         # hmac.new() re-hashes the key every call; keying once and
         # .copy()-ing per frame keeps the per-frame MAC cost to the
-        # two compression blocks that actually cover the data.  This
-        # is the fabric's hottest code: 2 seals + 2 opens per
-        # member-update at 10k-member scale.
+        # two compression blocks that actually cover the data; every
+        # record in both directions pays one seal and one open.
         self._mac = hmac.new(mac_key, digestmod="sha256")
         self._shake = hashlib.shake_128(enc_key)
 

@@ -99,8 +99,6 @@ ERROR = wire.ERROR
 PING = wire.PING
 PONG = wire.PONG
 SHUTDOWN = wire.SHUTDOWN
-UPDATE = wire.UPDATE
-ACK = wire.ACK
 
 
 class ProtocolError(ReproError):

@@ -44,7 +44,6 @@ from repro.evaluation.kernels import (
 from repro.evaluation.harness import (
     CveResult,
     EvaluationReport,
-    evaluate_corpus,
     evaluate_cve,
 )
 from repro.evaluation.engine import (
@@ -52,6 +51,7 @@ from repro.evaluation.engine import (
     StageTiming,
     cache_stats,
     clear_caches,
+    evaluate_corpus,
     normalize_result,
     run_build_for,
 )

@@ -33,6 +33,7 @@ from repro.errors import (
     StackCheckError,
     SymbolResolutionError,
 )
+from repro.evaluation import engine
 from repro.evaluation.kernels import GeneratedKernel, kernel_for_version
 from repro.evaluation.specs import CveSpec
 from repro.evaluation.stress import run_stress_battery
@@ -119,17 +120,8 @@ class CveResult:
         return True
 
 
-def _run_build(kernel: GeneratedKernel) -> BuildResult:
-    """The run kernel's build, via the engine's content-addressed cache
-    (the seed's bare ``_BUILD_CACHE`` module global, now bounded and
-    resettable through ``engine.clear_caches()``)."""
-    from repro.evaluation.engine import run_build_for
-
-    return run_build_for(kernel)
-
-
 def _boot(kernel: GeneratedKernel) -> Tuple[Machine, BuildResult]:
-    build = _run_build(kernel)
+    build = engine.run_build_for(kernel)
     machine = boot_kernel(kernel.tree, build=build)
     return machine, build
 
@@ -197,7 +189,7 @@ def evaluate_cve(spec: CveSpec, run_stress: bool = True,
         kernel = kernel_for_version(spec.kernel_version)
         rep.counters["units"] = len(kernel.tree.files)
     with trace.stage("build") as rep:
-        run_build = _run_build(kernel)
+        run_build = engine.run_build_for(kernel)
         rep.counters["units"] = len(kernel.tree.files)
     with trace.stage("boot"):
         machine = boot_kernel(kernel.tree, build=run_build)
@@ -448,22 +440,3 @@ def _patch_id(cve_id: str) -> str:
 
     return corpus_by_id(cve_id).patch_id
 
-
-def evaluate_corpus(specs: Optional[List[CveSpec]] = None,
-                    run_stress: bool = True,
-                    verify_undo: bool = False,
-                    progress=None, jobs: int = 1,
-                    stats=None, workers=None) -> EvaluationReport:
-    """Evaluate every corpus entry; the full §6 run.
-
-    Delegates to :mod:`repro.evaluation.engine`: ``jobs > 1`` fans
-    kernel-version groups out over worker processes, ``workers``
-    (a list of ``host:port`` strings) out over the distributed fabric
-    (deterministic result order either way); ``stats`` receives an
-    :class:`~repro.evaluation.engine.EngineStats` fill-in.
-    """
-    from repro.evaluation.engine import evaluate_corpus as _engine_evaluate
-
-    return _engine_evaluate(specs=specs, run_stress=run_stress,
-                            verify_undo=verify_undo, progress=progress,
-                            jobs=jobs, stats=stats, workers=workers)

@@ -263,10 +263,3 @@ def kernel_for_version(version: str) -> GeneratedKernel:
     if version not in ALL_VERSIONS:
         raise ReproError("unknown kernel version %r" % version)
     return build_kernel(version)
-
-
-def kernel_for_cve(cve_id: str) -> GeneratedKernel:
-    for spec in CORPUS:
-        if spec.cve_id == cve_id:
-            return kernel_for_version(spec.kernel_version)
-    raise ReproError("unknown CVE %r" % cve_id)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import MachineError
 
@@ -292,14 +292,6 @@ class Memory:
 
         self._jit_accessors = acc = (read, write, holder)
         return acc
-
-    def fast_reader(self) -> Callable[[int], int]:
-        """u32 reader for JIT traces (see :meth:`jit_accessors`)."""
-        return self.jit_accessors()[0]  # type: ignore[no-any-return]
-
-    def fast_writer(self) -> Callable[[int, int], None]:
-        """u32 writer for JIT traces (see :meth:`jit_accessors`)."""
-        return self.jit_accessors()[1]  # type: ignore[no-any-return]
 
     def read_u8(self, address: int) -> int:
         return self.read_bytes(address, 1)[0]

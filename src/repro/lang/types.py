@@ -22,10 +22,6 @@ class Type:
     def size(self) -> int:
         raise NotImplementedError
 
-    @property
-    def is_pointer(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class IntType(Type):
@@ -47,10 +43,6 @@ class PointerType(Type):
     @property
     def size(self) -> int:
         return WORD_SIZE
-
-    @property
-    def is_pointer(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return "%s*" % self.pointee
@@ -94,9 +86,6 @@ class StructType(Type):
                 return ftype
         raise CompileError("struct %s has no field %r" % (self.tag, name))
 
-    def has_field(self, name: str) -> bool:
-        return any(fname == name for fname, _ in self.fields)
-
     def __str__(self) -> str:
         return "struct %s" % self.tag
 
@@ -132,9 +121,6 @@ class TypeTable:
         if tag not in self._structs:
             raise CompileError("unknown struct %s" % tag)
         return self._structs[tag]
-
-    def known_tags(self) -> List[str]:
-        return sorted(self._structs)
 
 
 def element_type(of: Type) -> Optional[Type]:

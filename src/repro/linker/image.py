@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import LinkError
 from repro.linker.kallsyms import KallsymsTable
@@ -66,16 +66,6 @@ class KernelImage:
         except KeyError:
             raise LinkError("no placed section %s in unit %s"
                             % (section_name, unit)) from None
-
-    def placements_for_unit(self, unit: str) -> List[PlacedSection]:
-        return [placed for (u, _), placed in self.placements.items()
-                if u == unit]
-
-    def section_at(self, address: int) -> Optional[PlacedSection]:
-        for placed in self.placements.values():
-            if placed.contains(address):
-                return placed
-        return None
 
     def text_range(self) -> Tuple[int, int]:
         """[start, end) covering every text section — "looks like a kernel

@@ -17,10 +17,6 @@ class SectionKind(enum.Enum):
     KSPLICE = "ksplice"  # hook function-pointer tables
 
     @property
-    def is_allocatable(self) -> bool:
-        return True
-
-    @property
     def is_code(self) -> bool:
         return self is SectionKind.TEXT
 
@@ -59,15 +55,6 @@ class Section:
 
     def sorted_relocations(self) -> List[Relocation]:
         return sorted(self.relocations, key=lambda r: r.offset)
-
-    def relocation_at(self, offset: int) -> Relocation:
-        for reloc in self.relocations:
-            if reloc.offset == offset:
-                return reloc
-        raise KeyError("no relocation at offset %d in %s" % (offset, self.name))
-
-    def has_relocation_at(self, offset: int) -> bool:
-        return any(reloc.offset == offset for reloc in self.relocations)
 
     def copy(self) -> "Section":
         return Section(

@@ -98,10 +98,6 @@ class Expected:
     def to_json(self) -> Dict[str, object]:
         return dict(sorted(asdict(self).items()))
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "Expected":
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass
 class GeneratedScenario:

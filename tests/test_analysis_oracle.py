@@ -33,10 +33,9 @@ from repro.analysis.model import (
     EVIDENCE_SHADOW_API,
     PROOF_KINDS,
 )
-from repro.evaluation import clear_caches
+from repro.evaluation import clear_caches, evaluate_corpus
 from repro.evaluation.corpus import CORPUS
 from repro.evaluation.engine import verdict_discrepancies
-from repro.evaluation.harness import evaluate_corpus
 
 
 @pytest.fixture(scope="module")

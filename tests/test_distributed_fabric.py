@@ -141,6 +141,49 @@ def test_channel_partial_record_survives_timeout():
         left.close()
 
 
+def test_async_channel_backpressure_bounds_queue(monkeypatch):
+    """A producer outrunning a stalled peer parks on the bounded send
+    queue instead of buffering unboundedly."""
+    monkeypatch.setattr(aio, "SEND_QUEUE_SIZE", 2)
+    secret = b"backpressure-secret"
+
+    async def scenario():
+        server_ready = asyncio.Event()
+        port_holder = {}
+        parked = {"count": 0}
+
+        async def handle(reader, writer):
+            channel = await aio.accept_channel(reader, writer, secret)
+            port_holder["server_channel"] = channel
+            server_ready.set()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = await aio.connect_channel(host, port, secret)
+        await server_ready.wait()
+        # The client never reads; the server's writer drains into the
+        # socket until TCP buffers fill, then its queue (bound 2)
+        # fills, then send() parks.  Pushing a big payload many times
+        # must eventually time out rather than buffer forever.
+        big = {"type": "item", "blob": b"x" * 1_000_000}
+        sender = port_holder["server_channel"]
+
+        async def flood():
+            while True:
+                await sender.send(big)
+                parked["count"] += 1
+
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(flood(), 2.0)
+        assert parked["count"] < 200  # bounded, not unbounded buffering
+        await client.close()
+        await sender.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
 def test_parse_address_validation():
     assert parse_address("10.0.0.1:5000") == ("10.0.0.1", 5000)
     assert parse_address("[::1]:80") == ("::1", 80)

@@ -8,10 +8,9 @@ checked on a stress-free full pass.
 
 import pytest
 
-from repro.evaluation import corpus_by_id, evaluate_cve
+from repro.evaluation import corpus_by_id, evaluate_corpus, evaluate_cve
 from repro.evaluation.harness import (
     EvaluationReport,
-    evaluate_corpus,
     evaluate_original_patch_only,
 )
 from repro.evaluation.kernels import kernel_for_version
